@@ -32,6 +32,11 @@ from .graph import DirectedRelation, HinGraph
 from .metapath import MetaPath
 from .models import ScoreMatrix
 
+# Frontier keys compare priorities rounded to this many decimals, so that
+# mathematically equal priorities whose float sums differ in the last bit
+# still tie and break on depth, then on the relation sequence.
+PRIORITY_DECIMALS = 12
+
 
 class ExamplePairSet:
     """User-supplied example pairs with positive weights (default 1.0)."""
@@ -200,9 +205,10 @@ def fill_types(
 class SearchTree:
     """Persistent best-first search state, reusable across emissions.
 
-    The frontier orders nodes by priority, breaking ties toward shallower
-    depth and then the lexicographically smallest relation sequence, so runs
-    are fully deterministic. ``next_path`` pops the best node and either
+    The frontier orders nodes by priority (rounded to ``PRIORITY_DECIMALS``
+    decimals), breaking ties toward shallower depth and then the
+    lexicographically smallest relation sequence, so runs are fully
+    deterministic. ``next_path`` pops the best node and either
     emits it (first time it holds an example pair) or expands it; expanded
     nodes leave the frontier for good, emitted ones stay expandable.
     """
@@ -238,7 +244,7 @@ class SearchTree:
         )
 
     def _key(self, node: TreeNode) -> tuple:
-        return (-node.priority, node.depth, node.relseq)
+        return (-round(node.priority, PRIORITY_DECIMALS), node.depth, node.relseq)
 
     def _record(self, event: str, node: TreeNode, popped_key: tuple) -> None:
         if self.trace is not None:

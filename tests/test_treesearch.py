@@ -302,6 +302,25 @@ class TestBestFirstProperty:
             if next_key is not None:
                 assert popped_key <= next_key
 
+    def test_equal_priorities_break_on_sequence(self):
+        # three depth-3 nodes score exactly 0.6**3, but their float priorities
+        # differ in the last bit depending on summation order
+        graph, _ = random_typed_graph(44, max_entities=10)
+        examples = ExamplePairSet([("e06", "e08"), ("e08", "e01")])
+        result = generate_paths(
+            graph,
+            examples,
+            SearchConfig(max_paths=3, max_depth=3, node_budget=5000),
+            record_trace=True,
+        )
+        tied = [
+            relseq
+            for _, popped_key, _, _, relseq in result.tree.trace
+            if abs(popped_key[0] + 0.6**3) < 1e-12
+        ]
+        assert len(tied) >= 2
+        assert tied == sorted(tied)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_first_emission_matches_simulation(self, seed):
         graph, _ = random_typed_graph(seed, max_entities=9)
