@@ -110,7 +110,7 @@ def cmd_score(args) -> int:
     paths = _load_paths_file(args.paths)
     rows = _pair_rows(args)
     pairs = [(r.source, r.target) for r in rows]
-    matrix = models.build_features(parsed.graph, pairs, paths, threads=args.threads)
+    matrix = models.build_features(parsed.graph, pairs, paths)
     for (s, t), vals in zip(matrix.pairs, matrix.values):
         print(f"{s}\t{t}\t" + "\t".join(format(v, ".12g") for v in vals))
     if args.output:
@@ -132,7 +132,7 @@ def cmd_train_lp(args) -> int:
         raise ValueError("training examples need a 0/1 label column")
     pairs = [(r.source, r.target) for r in rows]
     labels = [r.label for r in rows]
-    features = models.build_features(parsed.graph, pairs, paths, threads=args.threads)
+    features = models.build_features(parsed.graph, pairs, paths)
     config = models.TrainConfig(fit_bias=not args.no_bias)
     model = models.train_logistic(features, labels, l2_strength=args.l2, config=config)
     models.save_model(args.model_out, model, paths)
@@ -154,7 +154,7 @@ def cmd_predict_lp(args) -> int:
     model, paths = models.load_model(args.model)
     rows = _pair_rows(args)
     pairs = [(r.source, r.target) for r in rows]
-    features = models.build_features(parsed.graph, pairs, list(paths), threads=args.threads)
+    features = models.build_features(parsed.graph, pairs, list(paths))
     preds = models.predict(model, features)
     for r, p in zip(rows, preds):
         print(f"{r.source}\t{r.target}\t{p:.6f}")
@@ -186,7 +186,6 @@ def _generated_index_paths(args, parsed) -> list:
     examples = hio.pair_set_from_rows(parsed.example_rows)
     result = generate_paths(parsed.graph, examples, _search_config(args))
     query_types = parsed.graph.entity_types(args.query)
-    ancestors = parsed.hierarchy.ancestors
     candidates = [p.metapath for p in result.paths if p.metapath.source_type in query_types]
     if not candidates:
         raise ValueError(
@@ -194,15 +193,11 @@ def _generated_index_paths(args, parsed) -> list:
             f"got {len(result.paths)} paths from {len(examples)} example pairs"
         )
     first = candidates[0]
-
-    def compatible(a, b):
-        return a in ancestors(b) or b in ancestors(a)
-
     return [
         p
         for p in candidates
-        if compatible(first.source_type, p.source_type)
-        and compatible(first.target_type, p.target_type)
+        if parsed.hierarchy.compatible(first.source_type, p.source_type)
+        and parsed.hierarchy.compatible(first.target_type, p.target_type)
     ]
 
 
@@ -217,7 +212,7 @@ def cmd_simsearch(args) -> int:
     theta = None
     if args.theta:
         theta = [float(x) for x in args.theta.split(",")]
-    index = simsearch.build_index(parsed.graph, paths, theta, threads=args.threads)
+    index = simsearch.build_index(parsed.graph, paths, theta)
     ranked = simsearch.top_k(index, args.query, args.k)
     for rank, (entity, score) in enumerate(ranked, start=1):
         print(f"{rank}\t{entity}\t{format(score, '.12g')}")
@@ -300,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bundle_args(p)
     p.add_argument("--paths", required=True, help="meta-path strings, one per line")
     p.add_argument("--pairs", required=True, help="pairs TSV to score")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", help="write a JSONL report")
     p.set_defaults(func=cmd_score)
 
@@ -310,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=0.01)
     p.add_argument("--no-bias", action="store_true")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", help="write a JSONL report")
     p.set_defaults(func=cmd_train_lp)
 
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bundle_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", required=True, help="write the predictions JSONL report")
     p.set_defaults(func=cmd_predict_lp)
 
@@ -339,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--theta", help="comma-separated weights, uniform when omitted")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", help="write a JSONL report")
     p.set_defaults(func=cmd_simsearch)
 

@@ -2,13 +2,21 @@
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
-string order) so that the walk and search code can work on small int tuples.
+string order). Each relation is stored twice in compressed sparse row (CSR)
+form, once per traversal direction: an ``indptr`` array of length n + 1 and
+an ``indices`` array holding every entity's neighbours, sorted, at
+``indices[indptr[e]:indptr[e + 1]]``. The walk code works on type-filtered
+step matrices cut from these arrays (:meth:`HinGraph.step_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     HierarchyError,
@@ -148,6 +156,10 @@ class TypeHierarchy:
         self._require(type_id)
         return self._depth[type_id]
 
+    def compatible(self, a: str, b: str) -> bool:
+        """Whether one of the two types is an ancestor of the other."""
+        return a in self.ancestors(b) or b in self.ancestors(a)
+
     def lca(self, a: str, b: str) -> str:
         """Deepest common ancestor of two types; ties break on smallest id."""
         common = self.ancestors(a) & self.ancestors(b)
@@ -165,11 +177,40 @@ class TypeHierarchy:
         return acc
 
 
+# Entity indices and CSR offsets are int32: a triple list long enough to
+# overflow them would not fit in memory as Python objects.
+INDEX_DTYPE = np.int32
+
+# One relation traversed in one direction: (indptr, indices).
+Csr = tuple[np.ndarray, np.ndarray]
+
+
+class StepMatrix:
+    """One directed relation's adjacency between row-type and column-type
+    members. ``counts`` has a 1 per edge, so products count path instances;
+    ``walk`` divides each row by its number of edges (the uniform walk step)
+    and ``walk_t`` is its transpose. Both are built on first use."""
+
+    def __init__(self, counts: sp.csr_array):
+        self.counts = counts
+
+    @cached_property
+    def walk(self) -> sp.csr_array:
+        c = self.counts
+        degree = np.diff(c.indptr)
+        data = 1.0 / np.repeat(degree, degree)
+        return sp.csr_array((data, c.indices, c.indptr), shape=c.shape)
+
+    @cached_property
+    def walk_t(self) -> sp.csr_array:
+        return self.walk.T.tocsr()
+
+
 class HinGraph:
     """Typed multigraph where every edge is queryable in both directions.
 
-    Instances are immutable after construction; all query methods are pure and
-    safe for unrestricted concurrent use. Build graphs with
+    Instances are immutable after construction; all query methods are pure.
+    Step matrices are memoized per instance on first use. Build graphs with
     :func:`build_graph`, not by calling this constructor directly.
     """
 
@@ -177,7 +218,7 @@ class HinGraph:
         self,
         entities: Sequence[str],
         relations: Sequence[str],
-        adjacency: Mapping[tuple[int, int, bool], tuple[int, ...]],
+        adjacency: Sequence[tuple[Csr, Csr]],
         assigned_types: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
     ):
@@ -186,34 +227,29 @@ class HinGraph:
         self.hierarchy = hierarchy
         self._eindex = {name: i for i, name in enumerate(self.entities)}
         self._rindex = {name: i for i, name in enumerate(self.relations)}
-        self._adj = dict(adjacency)
+        self._adj = tuple(adjacency)  # [relation][inverted] -> (indptr, indices)
         self._assigned = tuple(assigned_types)
+        self._steps: dict[tuple[int, bool, str, str], StepMatrix] = {}
 
-        closure_cache: dict[frozenset[str], frozenset[str]] = {}
-        closed = []
-        for types in self._assigned:
-            full = closure_cache.get(types)
-            if full is None:
-                acc: set[str] = set()
-                for t in types:
-                    acc.update(hierarchy.ancestors(t))
-                full = frozenset(acc)
-                closure_cache[types] = full
-            closed.append(full)
-        self._closed: tuple[frozenset[str], ...] = tuple(closed)
-
+        closure = {
+            types: frozenset().union(*map(hierarchy.ancestors, types))
+            for types in set(self._assigned)
+        }
+        self._closed: tuple[frozenset[str], ...] = tuple(map(closure.__getitem__, self._assigned))
         members: dict[str, list[int]] = {}
         for i, full in enumerate(self._closed):
             for t in full:
                 members.setdefault(t, []).append(i)
-        self._type_members = {t: tuple(idx) for t, idx in sorted(members.items())}
-
-        rels_by_entity: list[list[tuple[int, bool]]] = [[] for _ in self.entities]
-        for (e, r, inv) in self._adj:
-            rels_by_entity[e].append((r, inv))
-        self._entity_rels = tuple(tuple(sorted(rs)) for rs in rels_by_entity)
+        self._type_members = {t: np.array(idx, dtype=INDEX_DTYPE) for t, idx in members.items()}
+        for arr in self._type_members.values():
+            arr.flags.writeable = False  # shared with every caller of type_members
 
     # -- index-level access (used by the walk and search internals) --
+
+    @property
+    def directions(self) -> list[tuple[int, bool]]:
+        """Every (relation index, inverted) pair, sorted."""
+        return [(r, inv) for r in range(len(self.relations)) for inv in (False, True)]
 
     def entity_index(self, entity: str) -> int:
         idx = self._eindex.get(entity)
@@ -230,18 +266,37 @@ class HinGraph:
             raise UnknownRelationError(f"unknown relation {relation!r}")
         return idx
 
-    def neighbors_idx(self, entity: int, relation: int, inverted: bool) -> tuple[int, ...]:
-        return self._adj.get((entity, relation, inverted), ())
+    def neighbors_idx(self, entity: int, relation: int, inverted: bool) -> list[int]:
+        """Sorted neighbour indices."""
+        indptr, indices = self._adj[relation][inverted]
+        return indices[indptr[entity] : indptr[entity + 1]].tolist()
 
     def entity_rels_idx(self, entity: int) -> tuple[tuple[int, bool], ...]:
         """Directed relations with at least one edge at this entity."""
-        return self._entity_rels[entity]
+        return tuple(d for d in self.directions if self.neighbors_idx(entity, *d))
 
     def closed_types_idx(self, entity: int) -> frozenset[str]:
         return self._closed[entity]
 
-    def assigned_types_idx(self, entity: int) -> frozenset[str]:
-        return self._assigned[entity]
+    def step_matrix(
+        self, relation: int, inverted: bool, row_type: str, col_type: str
+    ) -> StepMatrix:
+        """The relation's adjacency with rows kept for ``row_type`` members and
+        columns for ``col_type`` members."""
+        key = (relation, inverted, row_type, col_type)
+        step = self._steps.get(key)
+        if step is None:
+            n = self.n_entities
+            indptr, indices = self._adj[relation][inverted]
+            rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(indptr))
+            keep = np.isin(rows, self.type_members(row_type))
+            keep &= np.isin(indices, self.type_members(col_type))
+            counts = sp.csr_array(
+                (np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], indices[keep])),
+                shape=(n, n),
+            )
+            step = self._steps[key] = StepMatrix(counts)
+        return step
 
     # -- name-level API --
 
@@ -265,11 +320,7 @@ class HinGraph:
         return [self.entities[w] for w in self.neighbors_idx(e, r, rel.inverted)]
 
     def out_degree(self, entity: str, rel: DirectedRelation) -> int:
-        e = self.entity_index(entity)
-        r = self._rindex.get(rel.name)
-        if r is None:
-            return 0
-        return len(self.neighbors_idx(e, r, rel.inverted))
+        return len(self.out_neighbors(entity, rel))
 
     def assigned_types(self, entity: str) -> frozenset[str]:
         """Types directly assigned to the entity (no ancestor expansion)."""
@@ -279,15 +330,17 @@ class HinGraph:
         """Assigned types closed under ancestor expansion up to the root."""
         return self._closed[self.entity_index(entity)]
 
-    def type_members(self, type_id: str) -> tuple[int, ...]:
-        """Indices of entities whose closed type set contains ``type_id``."""
+    def type_members(self, type_id: str) -> np.ndarray:
+        """Sorted indices of entities whose closed type set contains ``type_id``."""
         if type_id not in self.hierarchy:
             raise UnknownTypeError(f"unknown type {type_id!r}")
-        return self._type_members.get(type_id, ())
+        return self._type_members.get(type_id, np.zeros(0, dtype=INDEX_DTYPE))
 
-    def edge_count(self, relation: str) -> int:
-        r = self.relation_index(relation)
-        return sum(len(v) for (e, rr, inv), v in self._adj.items() if rr == r and not inv)
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> Csr:
+    """Sorted, deduplicated CSR arrays of the edges rows[k] -> cols[k]."""
+    matrix = sp.csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    return matrix.indptr, matrix.indices
 
 
 def build_graph(
@@ -304,21 +357,13 @@ def build_graph(
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
 
-    edge_set: set[tuple[str, str, str]] = set()
-    entity_names: set[str] = set()
-    relation_names: set[str] = set()
-    for s, r, t in triples:
-        _check_identifier("entity", s)
-        _check_identifier("relation", r)
-        _check_identifier("entity", t)
-        edge_set.add((s, r, t))
-        entity_names.add(s)
-        entity_names.add(t)
-        relation_names.add(r)
+    triples = list(triples)
+    sources, rels, targets = zip(*triples, strict=True) if triples else ((), (), ())
+    relation_names = set(rels)
+    entity_names = set(sources) | set(targets)
 
     assigned: dict[str, set[str]] = {}
     for entity, type_id in type_assignments:
-        _check_identifier("entity", entity)
         if type_id not in hierarchy:
             raise UnknownTypeError(
                 f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
@@ -328,20 +373,27 @@ def build_graph(
 
     entities = tuple(sorted(entity_names))
     relations = tuple(sorted(relation_names))
+    for name in entities:
+        _check_identifier("entity", name)
+    for name in relations:
+        _check_identifier("relation", name)
+
+    n = len(entities)
     eindex = {name: i for i, name in enumerate(entities)}
     rindex = {name: i for i, name in enumerate(relations)}
+    src = np.fromiter(map(eindex.__getitem__, sources), INDEX_DTYPE, len(triples))
+    dst = np.fromiter(map(eindex.__getitem__, targets), INDEX_DTYPE, len(triples))
+    rel = np.fromiter(map(rindex.__getitem__, rels), INDEX_DTYPE, len(triples))
+    adjacency = []
+    for r in range(len(relations)):
+        mask = rel == r
+        adjacency.append((_csr(src[mask], dst[mask], n), _csr(dst[mask], src[mask], n)))
 
-    adj: dict[tuple[int, int, bool], set[int]] = {}
-    for s, r, t in edge_set:
-        si, ri, ti = eindex[s], rindex[r], eindex[t]
-        adj.setdefault((si, ri, False), set()).add(ti)
-        adj.setdefault((ti, ri, True), set()).add(si)
-    adjacency = {key: tuple(sorted(vals)) for key, vals in adj.items()}
-
-    default_types = frozenset({hierarchy.root})
-    assigned_types = tuple(
-        frozenset(assigned[name]) if name in assigned else default_types for name in entities
-    )
+    shared: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct type set
+    assigned_types = []
+    for name in entities:
+        types = frozenset(assigned.get(name, (hierarchy.root,)))
+        assigned_types.append(shared.setdefault(types, types))
 
     graph = HinGraph(entities, relations, adjacency, assigned_types, hierarchy)
     return graph, hierarchy

@@ -8,8 +8,8 @@ reproducible for fixed inputs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BudgetExceededError, UnknownEntityError
 from .graph import HinGraph
 from .metapath import MetaPath, format_metapath, parse_metapath
-from .walks import walk_distribution
+from .walks import walk_mass
 
 MODEL_FORMAT = "hinwalk-model"
 MODEL_VERSION = 1
@@ -39,8 +39,16 @@ class ScoreMatrix:
                 f"{len(self.pairs)} pairs x {len(self.metapaths)} meta-paths"
             )
 
+    @cached_property
+    def _pair_pos(self) -> dict[tuple[str, str], int]:
+        # reversed, so that a repeated pair maps to its first row
+        return {pair: i for i, pair in reversed(list(enumerate(self.pairs)))}
+
     def score(self, pair: tuple[str, str], metapath_index: int) -> float:
-        return float(self.values[self.pairs.index(pair), metapath_index])
+        i = self._pair_pos.get(pair)
+        if i is None:
+            raise ValueError(f"pair {pair} is not a row of the score matrix")
+        return float(self.values[i, metapath_index])
 
 
 def combine_scores(scores: Sequence[float], theta: Sequence[float]) -> float:
@@ -56,14 +64,11 @@ def build_features(
     graph: HinGraph,
     pairs: Sequence[tuple[str, str]],
     metapaths: Sequence[MetaPath],
-    threads: int = 1,
     deadline: float | None = None,
 ) -> ScoreMatrix:
     """Walk probability of every pair along every meta-path.
 
-    Walks are shared across pairs with the same source. ``threads`` caps the
-    number of concurrent workers; the graph is immutable so walks are safe to
-    evaluate in parallel.
+    Each meta-path is one batched walk from all distinct pair sources.
     """
     for s, t in pairs:
         if not graph.has_entity(s) or not graph.has_entity(t):
@@ -71,24 +76,15 @@ def build_features(
 
     pairs = [(s, t) for s, t in pairs]
     values = np.zeros((len(pairs), len(metapaths)))
-    sources = sorted({s for s, _ in pairs})
-
-    def column(j: int) -> None:
-        path = metapaths[j]
-        for s in sources:
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceededError("feature construction deadline exceeded")
-            mass = walk_distribution(graph, s, path).mass
-            for i, (ps, pt) in enumerate(pairs):
-                if ps == s:
-                    values[i, j] = mass.get(pt, 0.0)
-
-    if threads > 1 and len(metapaths) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(column, range(len(metapaths))))
-    else:
-        for j in range(len(metapaths)):
-            column(j)
+    if not pairs:
+        return ScoreMatrix((), tuple(metapaths), values)
+    # one walk per distinct source; rows[i] is the walk row of pair i's source
+    sources, rows = np.unique([graph.entity_index(s) for s, _ in pairs], return_inverse=True)
+    cols = np.array([graph.entity_index(t) for _, t in pairs])
+    for j, path in enumerate(metapaths):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError("feature construction deadline exceeded")
+        values[:, j] = walk_mass(graph, sources, path)[rows, cols]
 
     return ScoreMatrix(tuple(pairs), tuple(metapaths), values)
 

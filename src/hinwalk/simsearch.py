@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .errors import UnknownEntityError
 from .graph import HinGraph
 from .metapath import MetaPath
-from .walks import DEFAULT_NNZ_BUDGET, commuting_matrix_full
+from .walks import DEFAULT_NNZ_BUDGET, commuting_matrix_full, positions, type_block
 
 
 @dataclass
@@ -25,18 +25,16 @@ class SimilarityIndex:
     col_entities: tuple[str, ...]
     matrix: sp.csr_array  # float64, aligned to row/col entity order
 
+    @cached_property
+    def _positions(self) -> tuple[dict[str, int], dict[str, int]]:
+        return positions(self.row_entities), positions(self.col_entities)
+
     def score(self, row: str, col: str) -> float:
-        try:
-            i = self.row_entities.index(row)
-            j = self.col_entities.index(col)
-        except ValueError:
-            raise UnknownEntityError(f"({row!r}, {col!r}) outside index entities") from None
+        i = self._positions[0].get(row)
+        j = self._positions[1].get(col)
+        if i is None or j is None:
+            raise UnknownEntityError(f"({row!r}, {col!r}) outside index entities")
         return float(self.matrix[i, j])
-
-
-def _compatible(graph: HinGraph, a: str, b: str) -> bool:
-    # endpoint types line up when one is an ancestor of the other
-    return a in graph.hierarchy.ancestors(b) or b in graph.hierarchy.ancestors(a)
 
 
 def build_index(
@@ -44,7 +42,6 @@ def build_index(
     metapaths: Sequence[MetaPath],
     theta: Sequence[float] | None = None,
     nnz_budget: int = DEFAULT_NNZ_BUDGET,
-    threads: int = 1,
 ) -> SimilarityIndex:
     """Combine commuting matrices with weights theta (uniform 1/M by default).
 
@@ -63,35 +60,28 @@ def build_index(
 
     first = metapaths[0]
     for mp in metapaths[1:]:
-        if not _compatible(graph, first.source_type, mp.source_type):
+        if not graph.hierarchy.compatible(first.source_type, mp.source_type):
             raise ValueError(
                 f"source types {first.source_type!r} and {mp.source_type!r} are incompatible"
             )
-        if not _compatible(graph, first.target_type, mp.target_type):
+        if not graph.hierarchy.compatible(first.target_type, mp.target_type):
             raise ValueError(
                 f"target types {first.target_type!r} and {mp.target_type!r} are incompatible"
             )
 
-    if threads > 1 and len(metapaths) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mats = list(pool.map(lambda mp: commuting_matrix_full(graph, mp, nnz_budget), metapaths))
-    else:
-        mats = [commuting_matrix_full(graph, mp, nnz_budget) for mp in metapaths]
-
     combined = sp.csr_array((graph.n_entities, graph.n_entities), dtype=np.float64)
-    for w, m in zip(weights, mats):
-        combined = combined + w * m.astype(np.float64)
+    for w, mp in zip(weights, metapaths):
+        combined = combined + w * commuting_matrix_full(graph, mp, nnz_budget).astype(np.float64)
     combined.eliminate_zeros()
 
-    row_union = sorted({i for mp in metapaths for i in graph.type_members(mp.source_type)})
-    col_union = sorted({i for mp in metapaths for i in graph.type_members(mp.target_type)})
-    sub = combined[row_union][:, col_union]
+    sub, rows, cols = type_block(
+        graph,
+        combined,
+        [mp.source_type for mp in metapaths],
+        [mp.target_type for mp in metapaths],
+    )
     return SimilarityIndex(
-        metapaths=metapaths,
-        theta=weights,
-        row_entities=tuple(graph.entity_name(i) for i in row_union),
-        col_entities=tuple(graph.entity_name(i) for i in col_union),
-        matrix=sub,
+        metapaths=metapaths, theta=weights, row_entities=rows, col_entities=cols, matrix=sub
     )
 
 
@@ -103,10 +93,9 @@ def top_k(index: SimilarityIndex, query: str, k: int) -> list[tuple[str, float]]
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    try:
-        row = index.row_entities.index(query)
-    except ValueError:
-        raise UnknownEntityError(f"query {query!r} is not a row entity of the index") from None
+    row = index._positions[0].get(query)
+    if row is None:
+        raise UnknownEntityError(f"query {query!r} is not a row entity of the index")
     start, end = index.matrix.indptr[row], index.matrix.indptr[row + 1]
     cols = index.matrix.indices[start:end]
     data = index.matrix.data[start:end]

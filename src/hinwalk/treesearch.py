@@ -3,7 +3,11 @@
 The search tree's edges are directed relation types; a node at depth L stands
 for one relation sequence of length L and stores walk tuples
 ``(source, current) -> f(source, current | sequence)`` aggregated over every
-concrete walk from the example sources along that sequence. A node's priority
+concrete walk from the example sources along that sequence. The tuples are a
+sparse matrix with one row per example source and one column per entity;
+expanding a node multiplies it by each directed relation's row-normalised
+step matrix (:mod:`hinwalk.walks`), one child per non-empty product. A node's
+priority
 
     S = base * beta**depth  (+ 1 when the node holds an example pair)
 
@@ -23,14 +27,16 @@ later rounds can grow longer sequences through it instead of starting over.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import DirectedRelation, HinGraph
 from .metapath import MetaPath
 from .models import ScoreMatrix
+from .walks import walk_mass
 
 # Frontier keys compare priorities rounded to this many decimals, so that
 # mathematically equal priorities whose float sums differ in the last bit
@@ -114,52 +120,40 @@ class PathGenerationResult:
     tree: "SearchTree"
 
 
+@dataclass(eq=False, slots=True)
+class WalkTuples:
+    """A node's walk tuples as a sparse matrix of walk mass, example sources
+    by entities; ``len`` is the number of stored tuples."""
+
+    mass: sp.csr_array
+
+    def __len__(self) -> int:
+        return self.mass.nnz
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class TreeNode:
-    __slots__ = (
-        "relation",
-        "depth",
-        "relseq",
-        "tuples",
-        "priority",
-        "has_pair",
-        "children",
-        "expanded",
-        "emitted",
-        "parent",
-    )
-
-    def __init__(self, relation, depth, relseq, tuples, parent):
-        self.relation = relation  # (relation index, inverted) or None at root
-        self.depth = depth
-        self.relseq = relseq
-        self.tuples = tuples  # (source idx, current idx) -> walk probability
-        self.priority = 0.0
-        self.has_pair = False
-        self.children: dict[tuple[int, bool], TreeNode] = {}
-        self.expanded = False
-        self.emitted = False
-        self.parent = parent
+    depth: int
+    relseq: tuple[tuple[int, bool], ...]
+    tuples: WalkTuples
+    parent: TreeNode | None
+    priority: float = 0.0
+    has_pair: bool = False
+    children: dict[tuple[int, bool], TreeNode] = field(default_factory=dict)
+    expanded: bool = False
+    emitted: bool = False
 
 
-def _priority_core(tuples, depth, beta, max_r, count, pair_set):
-    """Shared scoring: returns (S, node holds an example pair)."""
-    if not tuples:
+def _priority(
+    totals: Mapping[str, float], has_pair: bool, depth: int, examples: ExamplePairSet, beta: float
+) -> float:
+    """S from the walk mass left at each example source that still holds some."""
+    if not totals:
         raise ValueError("cannot score an empty tree node")
-    per_source: dict = {}
-    has_pair = False
-    get = per_source.get
-    for key, f in tuples.items():
-        u = key[0]
-        per_source[u] = get(u, 0.0) + f
-        if not has_pair and key in pair_set:
-            has_pair = True
-    num = 0.0
-    den = 0.0
-    for u, total in per_source.items():
-        w = max_r[u]
-        num += w * total / count[u]
-        den += w
-    return (num / den) * beta**depth + (1.0 if has_pair else 0.0), has_pair
+    weight, count = examples.max_weight, examples.pair_count
+    num = sum(weight[u] * total / count[u] for u, total in totals.items())
+    den = sum(weight[u] for u in totals)
+    return (num / den) * beta**depth + (1.0 if has_pair else 0.0)
 
 
 def priority_score(
@@ -169,10 +163,11 @@ def priority_score(
     beta: float,
 ) -> float:
     """Priority of a node given its walk tuples keyed by entity names."""
-    score, _ = _priority_core(
-        tuples, depth, beta, examples.max_weight, examples.pair_count, examples.pair_set
-    )
-    return score
+    totals: dict[str, float] = {}
+    for (u, _), f in tuples.items():
+        totals[u] = totals.get(u, 0.0) + f
+    has_pair = any(key in examples.pair_set for key in tuples)
+    return _priority(totals, has_pair, depth, examples, beta)
 
 
 def fill_types(
@@ -226,22 +221,25 @@ class SearchTree:
         self.status = "active"
         self.trace: list[tuple] | None = [] if record_trace else None
 
-        self._pair_set = frozenset(
-            (graph.entity_index(s), graph.entity_index(t)) for s, t in examples.pairs
-        )
-        self._max_r = {graph.entity_index(s): w for s, w in examples.max_weight.items()}
-        self._count = {graph.entity_index(s): c for s, c in examples.pair_count.items()}
+        # tuple rows are the example sources in index order, which is name order
+        sources = examples.sources
+        self._pair_rows = np.searchsorted(sources, [s for s, _ in examples.pairs])
+        self._pair_cols = np.array([graph.entity_index(t) for _, t in examples.pairs])
+        root = graph.hierarchy.root
+        self._steps = [(d, graph.step_matrix(*d, root, root)) for d in graph.directions]
 
-        root_tuples = {(s, s): 1.0 for s in sorted(self._max_r)}
-        self.root = TreeNode(None, 0, (), root_tuples, None)
+        source_idx = [graph.entity_index(s) for s in sources]
+        root_mass = walk_mass(graph, source_idx, MetaPath((root,), ()))  # one-hot rows
+        self.root = TreeNode(0, (), WalkTuples(root_mass), None)
         self.root.priority, self.root.has_pair = self._score(self.root)
         self.nodes_created = 1
         self._frontier: list[tuple[tuple, TreeNode]] = [(self._key(self.root), self.root)]
 
     def _score(self, node: TreeNode) -> tuple[float, bool]:
-        return _priority_core(
-            node.tuples, node.depth, self.config.beta, self._max_r, self._count, self._pair_set
-        )
+        row_totals = node.tuples.mass.sum(axis=1).tolist()
+        totals = {s: t for s, t in zip(self.examples.sources, row_totals) if t > 0.0}
+        has_pair = bool(node.tuples.mass[self._pair_rows, self._pair_cols].any())
+        return _priority(totals, has_pair, node.depth, self.examples, self.config.beta), has_pair
 
     def _key(self, node: TreeNode) -> tuple:
         return (-round(node.priority, PRIORITY_DECIMALS), node.depth, node.relseq)
@@ -257,22 +255,13 @@ class SearchTree:
             raise ValueError("node already expanded")
         if node.depth >= self.config.max_depth:
             raise ValueError(f"node at max depth {self.config.max_depth} cannot be expanded")
-        graph = self.graph
-        buckets: dict[tuple[int, bool], dict[tuple[int, int], float]] = {}
-        for (u, v), f in node.tuples.items():
-            for d in graph.entity_rels_idx(v):
-                neigh = graph.neighbors_idx(v, d[0], d[1])
-                bucket = buckets.get(d)
-                if bucket is None:
-                    bucket = buckets[d] = {}
-                share = f / len(neigh)
-                bget = bucket.get
-                for w in neigh:
-                    bucket[(u, w)] = bget((u, w), 0.0) + share
         node.expanded = True
         created = []
-        for d in sorted(buckets):
-            child = TreeNode(d, node.depth + 1, node.relseq + (d,), buckets[d], node)
+        for d, step in self._steps:
+            mass = node.tuples.mass @ step.walk
+            if not mass.nnz:
+                continue
+            child = TreeNode(node.depth + 1, node.relseq + (d,), WalkTuples(mass), node)
             child.priority, child.has_pair = self._score(child)
             node.children[d] = child
             self.nodes_created += 1
@@ -282,8 +271,12 @@ class SearchTree:
 
     def node_tuples(self, node: TreeNode) -> dict[tuple[str, str], float]:
         """Node walk tuples keyed by entity names, for inspection and tests."""
-        name = self.graph.entity_name
-        return {(name(u), name(v)): f for (u, v), f in node.tuples.items()}
+        coo = node.tuples.mass.tocoo()
+        sources, name = self.examples.sources, self.graph.entity_name
+        return {
+            (sources[i], name(v)): f
+            for i, v, f in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+        }
 
     def node_relations(self, node: TreeNode) -> tuple[DirectedRelation, ...]:
         return tuple(DirectedRelation(self.graph.relations[r], inv) for r, inv in node.relseq)
@@ -297,15 +290,11 @@ class SearchTree:
             cur = cur.parent
         chain.reverse()
         name = self.graph.entity_name
-        return [{name(v) for (_, v) in n.tuples} for n in chain]
+        return [set(map(name, np.unique(n.tuples.mass.indices).tolist())) for n in chain]
 
     def _emit(self, node: TreeNode) -> GeneratedPath:
-        name = self.graph.entity_name
-        scores = {
-            (name(u), name(v)): f
-            for (u, v), f in node.tuples.items()
-            if (u, v) in self._pair_set
-        }
+        pair_mass = node.tuples.mass[self._pair_rows, self._pair_cols].tolist()
+        scores = {pair: f for pair, f in zip(self.examples.pairs, pair_mass) if f}
         relations = self.node_relations(node)
         typed = fill_types(relations, self.node_trace(node), self.graph)
         return GeneratedPath(metapath=typed, relations=relations, scores=scores)

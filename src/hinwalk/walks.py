@@ -6,24 +6,29 @@ step's relation that carry the next node type. Mass hitting a dead end is
 dropped, never renormalized, so the result is a true walk probability and the
 per-source masses sum to at most 1.
 
-Two deliberately independent routes exist for every quantity: the dynamic
-programming pass here, and exhaustive depth-first enumeration of concrete
-path instances (:func:`enumerate_path_instances`), which the test suite uses
-as the oracle.
+Every traversal, here and in the tree search, is one sparse product per
+step, ``mass @ step``, with a directed relation's adjacency restricted to the
+step's node types (:meth:`HinGraph.step_matrix`): row-normalised it moves
+walk mass, as raw counts it counts path instances (the commuting matrix).
+
+Two deliberately independent routes exist for every quantity: the sparse
+products here, and exhaustive depth-first enumeration of concrete path
+instances (:func:`enumerate_path_instances`), which the test suite uses as
+the oracle.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
-from weakref import WeakKeyDictionary
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceededError, UnknownEntityError, UnknownTypeError
-from .graph import DirectedRelation, HinGraph
+from .graph import DirectedRelation, HinGraph, StepMatrix
 from .metapath import MetaPath, relations_only
 
 DEFAULT_NNZ_BUDGET = 50_000_000
@@ -50,35 +55,48 @@ def _resolve(graph: HinGraph, metapath: MetaPath) -> list[tuple[int, bool]]:
     return [(graph.relation_index(r.name), r.inverted) for r in metapath.relations]
 
 
+def _step_matrices(
+    graph: HinGraph, metapath: MetaPath, sources: Iterable[int] = ()
+) -> list[StepMatrix]:
+    """Validate a meta-path and the walk sources that start on it."""
+    types = metapath.node_types
+    steps = [
+        graph.step_matrix(ridx, inv, row_type, col_type)
+        for (ridx, inv), row_type, col_type in zip(_resolve(graph, metapath), types, types[1:])
+    ]
+    for src in sources:
+        if types[0] not in graph.closed_types_idx(src):
+            raise ValueError(
+                f"source {graph.entity_name(src)!r} does not carry start type {types[0]!r}"
+            )
+    return steps
+
+
+def walk_mass(graph: HinGraph, sources: Sequence[int], metapath: MetaPath) -> sp.csr_array:
+    """Walk mass from each source (rows, in the given order) over entities."""
+    steps = _step_matrices(graph, metapath, sources)
+    k = len(sources)
+    mass = sp.csr_array((np.ones(k), sources, np.arange(k + 1)), shape=(k, graph.n_entities))
+    for step in steps:
+        mass = mass @ step.walk
+    return mass
+
+
 def walk_distribution(graph: HinGraph, source: str, metapath: MetaPath) -> WalkDistribution:
     """Forward pass of the constrained walk; returns only positive masses."""
-    steps = _resolve(graph, metapath)
     src = graph.entity_index(source)
-    if metapath.node_types[0] not in graph.closed_types_idx(src):
-        raise ValueError(
-            f"source {source!r} does not carry start type {metapath.node_types[0]!r}"
-        )
-
-    root = graph.hierarchy.root
-    current: dict[int, float] = {src: 1.0}
-    for (ridx, inv), next_type in zip(steps, metapath.node_types[1:]):
-        unconstrained = next_type == root
-        following: dict[int, float] = {}
-        for e, m in current.items():
-            neigh = graph.neighbors_idx(e, ridx, inv)
-            if not unconstrained:
-                neigh = [w for w in neigh if next_type in graph.closed_types_idx(w)]
-            if not neigh:
-                continue
-            share = m / len(neigh)
-            for w in neigh:
-                following[w] = following.get(w, 0.0) + share
-        current = following
-        if not current:
+    steps = _step_matrices(graph, metapath, [src])
+    # one dense mass vector: walk_t @ mass is mass @ walk without building a
+    # sparse row per step, which costs more than the step on small graphs
+    mass = np.zeros(graph.n_entities)
+    mass[src] = 1.0
+    for step in steps:
+        mass = step.walk_t @ mass
+        if not mass.any():
             break
-
-    mass = {graph.entity_name(e): m for e, m in sorted(current.items())}
-    return WalkDistribution(source, metapath, mass)
+    ends = np.flatnonzero(mass)
+    names = map(graph.entity_name, ends.tolist())
+    return WalkDistribution(source, metapath, dict(zip(names, mass[ends].tolist())))
 
 
 def walk_probability(graph: HinGraph, source: str, target: str, metapath: MetaPath) -> float:
@@ -150,6 +168,11 @@ def instance_probability(graph: HinGraph, instance: list[str], metapath: MetaPat
     return prob
 
 
+def positions(names: Sequence[str]) -> dict[str, int]:
+    """Position of each name in a sequence of distinct names."""
+    return {name: i for i, name in enumerate(names)}
+
+
 @dataclass
 class CommutingMatrix:
     """Path-instance counts between start-type and end-type entities."""
@@ -159,12 +182,15 @@ class CommutingMatrix:
     col_entities: tuple[str, ...]
     matrix: sp.csr_array  # int64 counts, aligned to row/col entity order
 
+    @cached_property
+    def _positions(self) -> tuple[dict[str, int], dict[str, int]]:
+        return positions(self.row_entities), positions(self.col_entities)
+
     def count(self, row: str, col: str) -> int:
-        try:
-            i = self.row_entities.index(row)
-            j = self.col_entities.index(col)
-        except ValueError:
-            raise UnknownEntityError(f"({row!r}, {col!r}) outside matrix entities") from None
+        i = self._positions[0].get(row)
+        j = self._positions[1].get(col)
+        if i is None or j is None:
+            raise UnknownEntityError(f"({row!r}, {col!r}) outside matrix entities")
         return int(self.matrix[i, j])
 
     def entries(self) -> Iterator[tuple[str, str, int]]:
@@ -174,55 +200,39 @@ class CommutingMatrix:
             yield self.row_entities[coo.row[k]], self.col_entities[coo.col[k]], int(coo.data[k])
 
 
-def _type_mask(graph: HinGraph, type_id: str) -> np.ndarray:
-    mask = np.zeros(graph.n_entities, dtype=bool)
-    mask[list(graph.type_members(type_id))] = True
-    return mask
-
-
-# graphs are immutable, so per-graph step matrices are safe to memoize
-_STEP_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _step_matrix(graph: HinGraph, ridx: int, inv: bool, row_type: str, col_type: str) -> sp.csr_array:
-    per_graph = _STEP_CACHE.setdefault(graph, {})
-    key = (ridx, inv, row_type, col_type)
-    cached = per_graph.get(key)
-    if cached is not None:
-        return cached
-
-    root = graph.hierarchy.root
-    n = graph.n_entities
-    rows: list[int] = []
-    cols: list[int] = []
-    row_members = range(n) if row_type == root else graph.type_members(row_type)
-    for u in row_members:
-        for w in graph.neighbors_idx(u, ridx, inv):
-            if col_type != root and col_type not in graph.closed_types_idx(w):
-                continue
-            rows.append(u)
-            cols.append(w)
-    data = np.ones(len(rows), dtype=np.int64)
-    matrix = sp.csr_array((data, (rows, cols)), shape=(n, n))
-    per_graph[key] = matrix
-    return matrix
+def type_block(
+    graph: HinGraph, matrix: sp.csr_array, row_types: Iterable[str], col_types: Iterable[str]
+) -> tuple[sp.csr_array, tuple[str, ...], tuple[str, ...]]:
+    """The rows of members of any of ``row_types`` and the columns of members
+    of any of ``col_types``, with their entity names, in index order."""
+    rows = np.unique(np.concatenate([graph.type_members(t) for t in row_types]))
+    cols = np.unique(np.concatenate([graph.type_members(t) for t in col_types]))
+    if len(rows) < graph.n_entities:
+        matrix = matrix[rows]
+    if len(cols) < graph.n_entities:
+        matrix = matrix[:, cols]
+    names = graph.entities
+    return (
+        matrix,
+        tuple(names[i] for i in rows.tolist()),
+        tuple(names[j] for j in cols.tolist()),
+    )
 
 
 def commuting_matrix_full(
     graph: HinGraph, metapath: MetaPath, nnz_budget: int = DEFAULT_NNZ_BUDGET
 ) -> sp.csr_array:
     """Chained product of per-step type-filtered adjacency, in full index space."""
-    steps = _resolve(graph, metapath)
+    steps = _step_matrices(graph, metapath)
     n = graph.n_entities
     if not steps:
-        idx = np.fromiter(graph.type_members(metapath.node_types[0]), dtype=np.int64)
+        idx = graph.type_members(metapath.node_types[0])
         data = np.ones(len(idx), dtype=np.int64)
         return sp.csr_array((data, (idx, idx)), shape=(n, n))
 
     product: sp.csr_array | None = None
-    for depth, (ridx, inv) in enumerate(steps):
-        step = _step_matrix(graph, ridx, inv, metapath.node_types[depth], metapath.node_types[depth + 1])
-        product = step if product is None else product @ step
+    for step in steps:
+        product = step.counts if product is None else product @ step.counts
         if product.nnz > nnz_budget:
             raise BudgetExceededError(
                 f"commuting matrix for {metapath} exceeds nnz budget {nnz_budget}"
@@ -235,21 +245,8 @@ def commuting_matrix(
 ) -> CommutingMatrix:
     """Matrix of path-instance counts; rows/cols are start/end type members."""
     full = commuting_matrix_full(graph, metapath, nnz_budget)
-    row_idx = list(graph.type_members(metapath.node_types[0]))
-    col_idx = list(graph.type_members(metapath.node_types[-1]))
-    n = graph.n_entities
-    if len(row_idx) == n and len(col_idx) == n:
-        sub = full
-    elif row_idx and col_idx:
-        sub = full[row_idx][:, col_idx]
-    else:
-        sub = sp.csr_array((len(row_idx), len(col_idx)), dtype=np.int64)
-    return CommutingMatrix(
-        metapath=metapath,
-        row_entities=tuple(graph.entity_name(i) for i in row_idx),
-        col_entities=tuple(graph.entity_name(i) for i in col_idx),
-        matrix=sub,
-    )
+    sub, rows, cols = type_block(graph, full, [metapath.source_type], [metapath.target_type])
+    return CommutingMatrix(metapath=metapath, row_entities=rows, col_entities=cols, matrix=sub)
 
 
 def enumerate_metapaths(
@@ -261,51 +258,47 @@ def enumerate_metapaths(
 ) -> list[MetaPath]:
     """All relation sequences of length 1..max_len realized by some instance.
 
-    Breadth-first sweep over relation-sequence prefixes, each carrying the set
-    of entities reachable from any source-type entity along it. A sequence
-    qualifies when its reachable set meets the target-type entities. Node
-    types are left at the wildcard root type.
+    Breadth-first sweep over relation-sequence prefixes: a level is a sparse
+    matrix with one row per sequence, marking the entities reachable along it
+    from any source-type entity, and one product per directed relation
+    extends the whole level. A sequence qualifies when its reachable set
+    meets the target-type entities. Results are ordered by length, then by
+    relation sequence; node types are left at the wildcard root type.
     """
-    if source_type not in graph.hierarchy:
-        raise UnknownTypeError(f"unknown type {source_type!r}")
-    if target_type not in graph.hierarchy:
-        raise UnknownTypeError(f"unknown type {target_type!r}")
-    if max_len <= 0:
-        return []
-
     n = graph.n_entities
-    start = _type_mask(graph, source_type)
-    targets = _type_mask(graph, target_type)
-    if not start.any() or not targets.any():
+    start = graph.type_members(source_type)
+    targets = np.zeros(n)
+    targets[graph.type_members(target_type)] = 1.0
+    if max_len <= 0 or not len(start) or not targets.any():
         return []
 
     root = graph.hierarchy.root
-    rel_dirs = sorted(
-        {(r, inv) for e in range(n) for (r, inv) in graph.entity_rels_idx(e)}
-    )
-    step_ops = {
-        d: _step_matrix(graph, d[0], d[1], root, root).astype(np.float64) for d in rel_dirs
-    }
+    steps = [graph.step_matrix(r, inv, root, root) for r, inv in graph.directions]
 
     found: list[tuple[tuple[int, bool], ...]] = []
-    level: dict[tuple[tuple[int, bool], ...], np.ndarray] = {(): start}
-    for _ in range(max_len):
-        following: dict[tuple[tuple[int, bool], ...], np.ndarray] = {}
-        for seq, reach in sorted(level.items()):
+    seqs: list[tuple[tuple[int, bool], ...]] = [()]
+    reach = sp.csr_array((np.ones(len(start)), start, [0, len(start)]), shape=(1, n))
+    for length in range(1, max_len + 1):
+        next_seqs: list[tuple[tuple[int, bool], ...]] = []
+        blocks = []
+        for d, step in zip(graph.directions, steps):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceededError("meta-path enumeration deadline exceeded")
-            vec = reach.astype(np.float64)
-            for d in rel_dirs:
-                nxt = (vec @ step_ops[d]) > 0.0
-                if nxt.any():
-                    following[seq + (d,)] = nxt
-        level = following
-        for seq, reach in sorted(level.items()):
-            if (reach & targets).any():
-                found.append(seq)
-        if not level:
+            following = reach @ step.walk
+            live = np.diff(following.indptr) > 0
+            hits = (following @ targets) > 0.0
+            found.extend(seq + (d,) for seq, hit in zip(seqs, hits) if hit)
+            if length < max_len and live.any():
+                next_seqs.extend(seq + (d,) for seq, alive in zip(seqs, live) if alive)
+                block = following[live]
+                block.data[:] = 1.0  # keep only the reachable set, not the mass
+                blocks.append(block)
+        if not next_seqs:
             break
+        seqs = next_seqs
+        reach = sp.vstack(blocks, format="csr")
 
+    found.sort(key=lambda seq: (len(seq), seq))
     return [
         relations_only(
             tuple(DirectedRelation(graph.relations[r], inv) for r, inv in seq),

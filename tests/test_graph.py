@@ -80,6 +80,28 @@ class TestNeighbors:
         with pytest.raises(UnknownEntityError):
             graph.out_neighbors("nobody", FOUND)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_index_accessors_match_triples(self, seed):
+        rng = random.Random(seed)
+        entities = [f"e{i}" for i in range(8)]
+        triples = [
+            (rng.choice(entities), f"r{rng.randint(0, 2)}", rng.choice(entities))
+            for _ in range(20)
+        ]
+        graph, _ = build_graph(triples)
+        for e, name in enumerate(graph.entities):
+            rels = []
+            for r, rel in enumerate(graph.relations):
+                for inv in (False, True):
+                    ends = {(s, t) if not inv else (t, s) for s, rr, t in triples if rr == rel}
+                    expected = sorted({t for s, t in ends if s == name})
+                    got = [graph.entity_name(w) for w in graph.neighbors_idx(e, r, inv)]
+                    assert got == expected
+                    assert got == graph.out_neighbors(name, DirectedRelation(rel, inv))
+                    if got:
+                        rels.append((r, inv))
+            assert graph.entity_rels_idx(e) == tuple(rels)
+
 
 class TestEntityTypes:
     def test_ancestor_closure(self, g1):

@@ -75,18 +75,15 @@ class TestBuildFeatures:
         matrix = build_features(graph, [("p1", "p2")], [])
         assert matrix.values.shape == (1, 0)
 
+    def test_source_without_start_type_rejected(self, g1):
+        graph, _ = g1
+        with pytest.raises(ValueError, match="start type"):
+            build_features(graph, [("g", "p1")], [parse_metapath(P_FOUNDERS)])
+
     def test_unknown_entity_names_pair(self, g1):
         graph, _ = g1
         with pytest.raises(UnknownEntityError, match="p9"):
             build_features(graph, [("p1", "p9")], [parse_metapath(P_FOUNDERS)])
-
-    def test_threads_match_serial(self, g2, p_star):
-        graph, _ = g2
-        pairs = [("v1", "v2"), ("v2", "v1"), ("v1", "v3")]
-        paths = [p_star, parse_metapath("Venue -publishIn~-> Paper -publishIn-> Venue")]
-        serial = build_features(graph, pairs, paths, threads=1)
-        threaded = build_features(graph, pairs, paths, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
 
 
 class TestTrainLogistic:

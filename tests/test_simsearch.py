@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hinwalk import (
@@ -126,10 +125,3 @@ class TestProperties:
                     w * counts.get(entity, 0) for w, counts in zip(theta, per_path_counts)
                 )
                 assert score == expected
-
-    def test_threads_match_serial(self, g2, p_star):
-        graph, _ = g2
-        other = parse_metapath("Venue -publishIn~-> Paper -publishIn-> Venue")
-        serial = build_index(graph, [p_star, other], threads=1)
-        threaded = build_index(graph, [p_star, other], threads=4)
-        assert np.array_equal(serial.matrix.toarray(), threaded.matrix.toarray())

@@ -282,6 +282,7 @@ class TestTupleScores:
             node = stack.pop()
             rels = tree.node_relations(node)
             path = relations_only(rels)
+            assert len(node.tuples) == len(tree.node_tuples(node))
             for (s, t), f in tree.node_tuples(node).items():
                 assert f == pytest.approx(walk_probability(graph, s, t, path), abs=1e-12)
             stack.extend(node.children.values())

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hinwalk import (
     BudgetExceededError,
+    DirectedRelation,
     MetaPath,
     UnknownRelationError,
     UnknownTypeError,
@@ -11,6 +14,7 @@ from hinwalk import (
     enumerate_metapaths,
     enumerate_path_instances,
     parse_metapath,
+    relations_only,
     walk_distribution,
     walk_probability,
 )
@@ -259,6 +263,20 @@ class TestEnumerateMetapaths:
         graph, _ = g2
         with pytest.raises(UnknownTypeError):
             enumerate_metapaths(graph, "Ghost", "Venue", 2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_realized_sequence_is_enumerated(self, seed):
+        graph, _ = random_typed_graph(seed, max_entities=12)
+        directions = [DirectedRelation(r, inv) for r in graph.relations for inv in (False, True)]
+        realized = set()
+        for length in (1, 2, 3):
+            for relations in itertools.product(directions, repeat=length):
+                path = relations_only(relations)
+                if any(enumerate_path_instances(graph, s, path) for s in graph.entities):
+                    realized.add(path.signature())
+        got = [p.signature() for p in enumerate_metapaths(graph, "Object", "Object", 3)]
+        assert set(got) == realized
+        assert got == sorted(realized, key=lambda sig: (len(sig), sig))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_sequence_is_realized(self, seed):
