@@ -251,7 +251,8 @@ def cmd_synth(args) -> int:
     for name in ("edges_path", "types_path", "hierarchy_path", "examples_path", "holdout_examples_path"):
         path = getattr(bundle, name)
         print(f"{name.removesuffix('_path')}: {path}")
-        rows.append({"file": str(path), "lines": sum(1 for _ in open(path, encoding="utf-8"))})
+        with open(path, encoding="utf-8") as fh:
+            rows.append({"file": str(path), "lines": sum(1 for _ in fh)})
     if args.output:
         hio.write_report(args.output, "synth", rows, {"seed": args.seed})
     return EXIT_OK

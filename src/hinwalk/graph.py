@@ -77,7 +77,7 @@ class TypeHierarchy:
         self._parents: dict[str, tuple[str, ...]] = {
             t: tuple(sorted(parents.get(t, ()))) for t in sorted(types)
         }
-        self._check_acyclic()
+        order = self._parents_first()
 
         for t in sorted(types):
             if t != root and not self._parents[t]:
@@ -85,13 +85,17 @@ class TypeHierarchy:
 
         self._ancestors: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] = {}
-        for t in sorted(types):
-            self._ancestor_set(t)
-            self._depth_of(t)
+        for t in order:
+            ps = self._parents[t]
+            self._ancestors[t] = frozenset({t}.union(*map(self._ancestors.__getitem__, ps)))
+            self._depth[t] = 1 + max(map(self._depth.__getitem__, ps)) if ps else 0
 
-    def _check_acyclic(self) -> None:
+    def _parents_first(self) -> list[str]:
+        """Every type after all of its parents (DFS post-order over parent
+        edges, iterative so deep chains fit); raises on a cycle."""
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {t: WHITE for t in self._parents}
+        order: list[str] = []
         for start in sorted(self._parents):
             if color[start] != WHITE:
                 continue
@@ -110,27 +114,9 @@ class TypeHierarchy:
                         stack.append((p, 0))
                 else:
                     color[node] = BLACK
+                    order.append(node)
                     stack.pop()
-
-    def _ancestor_set(self, t: str) -> frozenset[str]:
-        cached = self._ancestors.get(t)
-        if cached is not None:
-            return cached
-        acc = {t}
-        for p in self._parents[t]:
-            acc.update(self._ancestor_set(p))
-        result = frozenset(acc)
-        self._ancestors[t] = result
-        return result
-
-    def _depth_of(self, t: str) -> int:
-        cached = self._depth.get(t)
-        if cached is not None:
-            return cached
-        ps = self._parents[t]
-        d = 0 if not ps else 1 + max(self._depth_of(p) for p in ps)
-        self._depth[t] = d
-        return d
+        return order
 
     @property
     def types(self) -> tuple[str, ...]:
@@ -357,8 +343,13 @@ def build_graph(
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
 
-    triples = list(triples)
-    sources, rels, targets = zip(*triples, strict=True) if triples else ((), (), ())
+    sources: list[str] = []
+    rels: list[str] = []
+    targets: list[str] = []
+    for s, r, t in triples:  # a triple of another length raises ValueError
+        sources.append(s)
+        rels.append(r)
+        targets.append(t)
     relation_names = set(rels)
     entity_names = set(sources) | set(targets)
 
@@ -381,9 +372,9 @@ def build_graph(
     n = len(entities)
     eindex = {name: i for i, name in enumerate(entities)}
     rindex = {name: i for i, name in enumerate(relations)}
-    src = np.fromiter(map(eindex.__getitem__, sources), INDEX_DTYPE, len(triples))
-    dst = np.fromiter(map(eindex.__getitem__, targets), INDEX_DTYPE, len(triples))
-    rel = np.fromiter(map(rindex.__getitem__, rels), INDEX_DTYPE, len(triples))
+    src = np.fromiter(map(eindex.__getitem__, sources), INDEX_DTYPE, len(sources))
+    dst = np.fromiter(map(eindex.__getitem__, targets), INDEX_DTYPE, len(sources))
+    rel = np.fromiter(map(rindex.__getitem__, rels), INDEX_DTYPE, len(sources))
     adjacency = []
     for r in range(len(relations)):
         mask = rel == r

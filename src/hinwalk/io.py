@@ -181,8 +181,19 @@ def write_report(path: str | Path, kind: str, rows: Iterable[dict], meta: dict |
 
 
 def read_report(path: str | Path) -> tuple[dict, list[dict]]:
+    lines = []
     with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, lineno, line, f"not JSON: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ParseError(path, lineno, line, "not a JSON object")
+            lines.append(record)
     if not lines or "report" not in lines[0]:
         raise ValueError(f"{path}: missing report header")
     if lines[0].get("version") != REPORT_VERSION:

@@ -1,8 +1,9 @@
 """Walk-score features, joint scoring, logistic-regression link prediction.
 
-Training is deterministic full-batch gradient ascent with backtracking line
-search on the L2-regularized log-likelihood, so results are exactly
-reproducible for fixed inputs.
+Training is deterministic damped Newton ascent on the L2-regularized
+log-likelihood, so results are exactly reproducible for fixed inputs. Without
+regularization, separable labels end at separating weights whose gradient is
+below the stopping tolerance instead of running on towards infinite weights.
 """
 
 from __future__ import annotations
@@ -89,12 +90,16 @@ def build_features(
     return ScoreMatrix(tuple(pairs), tuple(metapaths), values)
 
 
+# Training stops once the gradient max-norm falls below GRAD_TOL; a step is
+# accepted once it gains at least ARMIJO_C times the predicted ascent.
+GRAD_TOL = 1e-8
+ARMIJO_C = 1e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    max_iter: int = 10_000
-    grad_tol: float = 1e-8
+    max_iter: int = 100
     fit_bias: bool = True
-    armijo_c: float = 1e-4
 
 
 @dataclass
@@ -109,37 +114,38 @@ class LogisticModel:
         return len(self.weights)
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _log_likelihood(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> float:
-    z = X @ w + b
+def _objective(
+    A: np.ndarray, y: np.ndarray, theta: np.ndarray, penalty: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Regularized log-likelihood of parameters ``theta`` and its gradient."""
+    z = A @ theta
     # log sigma(z) = -log(1 + e^-z), log(1 - sigma(z)) = -log(1 + e^z)
     ll = -(np.logaddexp(0.0, -z) @ y) - (np.logaddexp(0.0, z) @ (1.0 - y))
-    return float(ll - l2 * (w @ w))
+    grad = A.T @ (y - _sigmoid(z)) - 2.0 * penalty * theta
+    return float(ll - penalty @ (theta * theta)), grad
+
+
+def _model_objective(
+    model: LogisticModel, features: np.ndarray, labels: Sequence[int]
+) -> tuple[float, np.ndarray]:
+    X = np.asarray(features, dtype=float)
+    A = np.column_stack([X, np.ones(len(X))])
+    penalty = np.append(np.full(model.width, model.l2_strength), 0.0)  # bias unregularized
+    theta = np.append(model.weights, model.bias)
+    return _objective(A, np.asarray(labels, dtype=float), theta, penalty)
 
 
 def log_likelihood(model: LogisticModel, features: np.ndarray, labels: Sequence[int]) -> float:
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    return _log_likelihood(X, y, model.weights, model.bias, model.l2_strength)
+    return _model_objective(model, features, labels)[0]
 
 
 def gradient(model: LogisticModel, features: np.ndarray, labels: Sequence[int]) -> np.ndarray:
     """Gradient of the regularized log-likelihood; bias component last if fit."""
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    p = _stable_sigmoid(X @ model.weights + model.bias)
-    gw = X.T @ (y - p) - 2.0 * model.l2_strength * model.weights
-    if model.fit_bias:
-        return np.append(gw, np.sum(y - p))
-    return gw
+    return _model_objective(model, features, labels)[1][: model.width + model.fit_bias]
 
 
 def train_logistic(
@@ -148,11 +154,15 @@ def train_logistic(
     l2_strength: float = 0.01,
     config: TrainConfig = TrainConfig(),
 ) -> LogisticModel:
-    """Maximize the L2-regularized log-likelihood by deterministic ascent.
+    """Maximize the L2-regularized log-likelihood by damped Newton steps.
 
-    Backtracking line search halves the step until the Armijo condition
-    holds; iteration stops when the gradient max-norm falls below
-    ``config.grad_tol`` or ``config.max_iter`` iterations elapse.
+    The step solves the Hessian system by least squares, so a singular
+    Hessian (``l2_strength=0`` with an all-zero feature) needs no special
+    case; backtracking halves it until the Armijo condition holds. Training
+    stops when the gradient max-norm falls below ``GRAD_TOL`` or after
+    ``config.max_iter`` steps. With ``l2_strength=0`` and separable labels,
+    it stops at the first weights with gradient below ``GRAD_TOL``; they
+    separate the data.
     """
     X = features.values if isinstance(features, ScoreMatrix) else np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -165,28 +175,30 @@ def train_logistic(
     if l2_strength < 0:
         raise ValueError(f"l2_strength must be >= 0, got {l2_strength}")
 
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    obj = _log_likelihood(X, y, w, b, l2_strength)
+    # one parameter vector: the weights, then the bias (unregularized) if fit
+    A = np.column_stack([X, np.ones(len(X))]) if config.fit_bias else X
+    penalty = np.full(A.shape[1], l2_strength)
+    penalty[X.shape[1] :] = 0.0
+    theta = np.zeros(A.shape[1])
+    obj, grad = _objective(A, y, theta, penalty)
     for _ in range(config.max_iter):
-        p = _stable_sigmoid(X @ w + b)
-        gw = X.T @ (y - p) - 2.0 * l2_strength * w
-        gb = float(np.sum(y - p)) if config.fit_bias else 0.0
-        gnorm_sq = float(gw @ gw) + gb * gb
-        if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < config.grad_tol:
+        if np.max(np.abs(grad), initial=0.0) < GRAD_TOL:
             break
+        p = _sigmoid(A @ theta)
+        hessian = -(A.T * (p * (1.0 - p))) @ A - 2.0 * np.diag(penalty)
+        direction = -np.linalg.lstsq(hessian, grad, rcond=None)[0]
         step = 1.0
         while step > 1e-18:
-            cand_w = w + step * gw
-            cand_b = b + step * gb
-            cand_obj = _log_likelihood(X, y, cand_w, cand_b, l2_strength)
-            if cand_obj >= obj + config.armijo_c * step * gnorm_sq:
-                w, b, obj = cand_w, cand_b, cand_obj
+            cand = theta + step * direction
+            cand_obj, cand_grad = _objective(A, y, cand, penalty)
+            if cand_obj >= obj + ARMIJO_C * step * (grad @ direction):
+                theta, obj, grad = cand, cand_obj, cand_grad
                 break
             step *= 0.5
         else:
             break  # no ascent step representable; treat as converged
 
+    w, b = (theta[:-1], float(theta[-1])) if config.fit_bias else (theta, 0.0)
     return LogisticModel(weights=w, bias=b, l2_strength=l2_strength, fit_bias=config.fit_bias)
 
 
@@ -195,7 +207,7 @@ def predict(model: LogisticModel, features: ScoreMatrix | np.ndarray) -> np.ndar
     X = features.values if isinstance(features, ScoreMatrix) else np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.width:
         raise ValueError(f"feature width {X.shape} does not match model width {model.width}")
-    return _stable_sigmoid(X @ model.weights + model.bias)
+    return _sigmoid(X @ model.weights + model.bias)
 
 
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -211,16 +223,9 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative label")
 
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average of 1-based ranks
-        i = j + 1
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of the last copy of each distinct score
+    ranks = ((ends - counts + 1 + ends) / 2)[inverse]  # average rank within a tie
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -175,6 +175,14 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("row", ['{"probability": 0.5,', "5"])
+def test_malformed_report_is_parse_error(tmp_path, capsys, row):
+    report = tmp_path / "pred.jsonl"
+    report.write_text('{"report": "predict-lp", "version": 1}\n' + row + "\n")
+    assert main(["eval-auc", "--predictions", str(report)]) == 2
+    assert f"{report}:2:" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(tmp_path, g2_dir):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# no pairs\n")

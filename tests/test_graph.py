@@ -67,6 +67,21 @@ class TestBuildGraph:
         graph, _ = build_graph([("a", "r", "b")], [], [])
         assert graph.entity_types("a") == frozenset({"Object"})
 
+    @pytest.mark.parametrize("bad", [("a", "r"), ("a", "r", "b", "c")])
+    def test_triple_of_wrong_length_rejected(self, bad):
+        with pytest.raises(ValueError):
+            build_graph([("a", "r", "b"), bad], [], [])
+
+    def test_deep_hierarchy(self):
+        # T0 -> Object, T1 -> T0, ..., T1499 -> T1498, plus a shortcut from
+        # T1499 to the root and a side branch at T1000
+        chain = [("T0", "Object")] + [(f"T{i}", f"T{i - 1}") for i in range(1, 1500)]
+        _, hierarchy = build_graph([], [], chain + [("T1499", "Object"), ("B", "T1000")])
+        assert hierarchy.depth("T1499") == 1500
+        assert hierarchy.depth("B") == 1002
+        assert hierarchy.lca("B", "T1499") == "T1000"
+        assert len(hierarchy.ancestors("T1499")) == 1501
+
 
 class TestNeighbors:
     def test_inverse_queries(self, g1):

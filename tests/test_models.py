@@ -120,6 +120,34 @@ class TestTrainLogistic:
         assert model.weights[0] == pytest.approx(reference.x[0], abs=1e-4)
         assert model.bias == pytest.approx(reference.x[1], abs=1e-4)
 
+    def test_reaches_gradient_tolerance_on_ill_conditioned_features(self):
+        # feature scales 1, 1e-2 and 1e-3, like walk probabilities of longer
+        # paths, make the problem ill-conditioned
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0, 1, (60, 3)) * np.array([1.0, 0.01, 0.001])
+        z = X @ np.array([1.0, 100.0, 1000.0]) - 1.5
+        y = (rng.uniform(0, 1, 60) < 1 / (1 + np.exp(-z))).astype(int)
+        model = train_logistic(X, y, l2_strength=0.01)
+        assert np.max(np.abs(gradient(model, X, y))) < 1e-8
+
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    def test_separable_without_l2_stops_at_tolerance(self, fit_bias):
+        # the optimum is at infinity; training stops once |grad| < 1e-8
+        X = np.array([[0.9], [0.8], [-0.2], [-0.1]])
+        y = np.array([1, 1, 0, 0])
+        model = train_logistic(X, y, 0.0, TrainConfig(max_iter=100, fit_bias=fit_bias))
+        assert np.max(np.abs(gradient(model, X, y))) < 1e-8
+        assert np.array_equal(predict(model, X) > 0.5, y == 1)
+
+    def test_zero_column_without_l2(self):
+        # the Hessian is singular in the zero column's direction
+        rng = np.random.default_rng(2)
+        X = np.column_stack([rng.uniform(0, 1, 40), np.zeros(40)])
+        y = (rng.uniform(0, 1, 40) < X[:, 0]).astype(int)
+        model = train_logistic(X, y, l2_strength=0.0)
+        assert model.weights[1] == 0.0
+        assert np.max(np.abs(gradient(model, X, y))) < 1e-8
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             train_logistic(np.ones((3, 1)), [1, 1, 1])
