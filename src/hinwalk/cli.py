@@ -172,6 +172,8 @@ def cmd_eval_auc(args) -> int:
     _, rows = hio.read_report(args.predictions)
     if any("label" not in r for r in rows):
         raise ValueError("predictions report lacks labels; predict on a labeled pairs file")
+    if any("probability" not in r for r in rows):
+        raise ValueError("predictions report lacks the probability field")
     scores = [r["probability"] for r in rows]
     labels = [r["label"] for r in rows]
     value = models.auc(scores, labels)

@@ -218,6 +218,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
+    if np.isnan(s).any():
+        raise ValueError("AUC scores must not be NaN")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:

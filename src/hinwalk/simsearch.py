@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .errors import UnknownEntityError
 from .graph import HinGraph
 from .metapath import MetaPath
-from .walks import DEFAULT_NNZ_BUDGET, commuting_matrix_full, positions, type_block
+from .walks import DEFAULT_NNZ_BUDGET, block_counts, positions, type_block
 
 
 @dataclass
@@ -69,19 +69,26 @@ def build_index(
                 f"target types {first.target_type!r} and {mp.target_type!r} are incompatible"
             )
 
-    combined = sp.csr_array((graph.n_entities, graph.n_entities), dtype=np.float64)
-    for w, mp in zip(weights, metapaths):
-        combined = combined + w * commuting_matrix_full(graph, mp, nnz_budget).astype(np.float64)
-    combined.eliminate_zeros()
-
-    sub, rows, cols = type_block(
-        graph,
-        combined,
-        [mp.source_type for mp in metapaths],
-        [mp.target_type for mp in metapaths],
+    rows, cols = type_block(
+        graph, [mp.source_type for mp in metapaths], [mp.target_type for mp in metapaths]
     )
+    # float64 halves: counts below 2**53 multiply and add exactly, so scaling
+    # in place matches scaling an int64 copy without keeping one
+    combined: sp.csr_array | None = None
+    for w, mp in zip(weights, metapaths):
+        counts = block_counts(graph, mp, rows, cols, nnz_budget, dtype=np.float64)
+        counts.data *= w
+        combined = counts if combined is None else combined + counts
+    combined.eliminate_zeros()
+    combined.sort_indices()
+
+    names = graph.entities
     return SimilarityIndex(
-        metapaths=metapaths, theta=weights, row_entities=rows, col_entities=cols, matrix=sub
+        metapaths=metapaths,
+        theta=weights,
+        row_entities=tuple(names[i] for i in rows.tolist()),
+        col_entities=tuple(names[j] for j in cols.tolist()),
+        matrix=combined,
     )
 
 

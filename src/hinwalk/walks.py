@@ -10,6 +10,11 @@ Every traversal, here and in the tree search, is one sparse product per
 step, ``mass @ step``, with a directed relation's adjacency restricted to the
 step's node types (:meth:`HinGraph.step_matrix`): row-normalised it moves
 walk mass, as raw counts it counts path instances (the commuting matrix).
+Commuting counts are built inside their row x column block as two half-path
+products that grow from the outside in, from the rows and from the columns,
+and meet in the middle in one final product (:func:`block_counts`);
+``nnz_budget`` bounds every one of these products. The similarity index
+multiplies the halves in float64, which is exact for counts below 2**53.
 
 Two deliberately independent routes exist for every quantity: the sparse
 products here, and exhaustive depth-first enumeration of concrete path
@@ -201,52 +206,69 @@ class CommutingMatrix:
 
 
 def type_block(
-    graph: HinGraph, matrix: sp.csr_array, row_types: Iterable[str], col_types: Iterable[str]
-) -> tuple[sp.csr_array, tuple[str, ...], tuple[str, ...]]:
-    """The rows of members of any of ``row_types`` and the columns of members
-    of any of ``col_types``, with their entity names, in index order."""
+    graph: HinGraph, row_types: Iterable[str], col_types: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices of the members of any of ``row_types`` and of the
+    members of any of ``col_types``: the rows and columns of a block."""
     rows = np.unique(np.concatenate([graph.type_members(t) for t in row_types]))
     cols = np.unique(np.concatenate([graph.type_members(t) for t in col_types]))
-    if len(rows) < graph.n_entities:
-        matrix = matrix[rows]
-    if len(cols) < graph.n_entities:
-        matrix = matrix[:, cols]
-    names = graph.entities
-    return (
-        matrix,
-        tuple(names[i] for i in rows.tolist()),
-        tuple(names[j] for j in cols.tolist()),
-    )
+    return rows, cols
 
 
-def commuting_matrix_full(
-    graph: HinGraph, metapath: MetaPath, nnz_budget: int = DEFAULT_NNZ_BUDGET
+def block_counts(
+    graph: HinGraph,
+    metapath: MetaPath,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    nnz_budget: int = DEFAULT_NNZ_BUDGET,
+    dtype: type = np.int64,
 ) -> sp.csr_array:
-    """Chained product of per-step type-filtered adjacency, in full index space."""
-    steps = _step_matrices(graph, metapath)
-    n = graph.n_entities
-    if not steps:
-        idx = graph.type_members(metapath.node_types[0])
-        data = np.ones(len(idx), dtype=np.int64)
-        return sp.csr_array((data, (idx, idx)), shape=(n, n))
+    """Path-instance counts from the ``rows`` entities to the ``cols`` entities.
 
-    product: sp.csr_array | None = None
-    for step in steps:
-        product = step.counts if product is None else product @ step.counts
+    Two half-path products grow from the outside in: the first step is cut to
+    the rows and the left half multiplied left to right, the last step is cut
+    to the columns and the right half multiplied right to left, so no product
+    spans all entities on both sides. The halves are cast to ``dtype`` and
+    meet in one final product. Every product, the final one included, must
+    stay within ``nnz_budget`` stored entries.
+    """
+
+    def checked(product: sp.csr_array) -> sp.csr_array:
         if product.nnz > nnz_budget:
             raise BudgetExceededError(
                 f"commuting matrix for {metapath} exceeds nnz budget {nnz_budget}"
             )
-    return product
+        return product
+
+    counts = [step.counts for step in _step_matrices(graph, metapath)]
+    if not counts:  # zero steps: each start-type member reaches itself once
+        idx = graph.type_members(metapath.source_type)
+        n = graph.n_entities
+        counts = [sp.csr_array((np.ones(len(idx), dtype=np.int64), (idx, idx)), shape=(n, n))]
+    mid = (len(counts) + 1) // 2
+    left = counts[0][rows]
+    for step in counts[1:mid]:
+        left = checked(left @ step)
+    if mid == len(counts):  # one step: the cut first step is the whole path
+        return checked(left[:, cols].astype(dtype, copy=False))
+    right = counts[-1][:, cols]
+    for step in reversed(counts[mid:-1]):
+        right = checked(step @ right)
+    return checked(left.astype(dtype, copy=False) @ right.astype(dtype, copy=False))
 
 
 def commuting_matrix(
     graph: HinGraph, metapath: MetaPath, nnz_budget: int = DEFAULT_NNZ_BUDGET
 ) -> CommutingMatrix:
     """Matrix of path-instance counts; rows/cols are start/end type members."""
-    full = commuting_matrix_full(graph, metapath, nnz_budget)
-    sub, rows, cols = type_block(graph, full, [metapath.source_type], [metapath.target_type])
-    return CommutingMatrix(metapath=metapath, row_entities=rows, col_entities=cols, matrix=sub)
+    rows, cols = type_block(graph, [metapath.source_type], [metapath.target_type])
+    names = graph.entities
+    return CommutingMatrix(
+        metapath=metapath,
+        row_entities=tuple(names[i] for i in rows.tolist()),
+        col_entities=tuple(names[j] for j in cols.tolist()),
+        matrix=block_counts(graph, metapath, rows, cols, nnz_budget),
+    )
 
 
 def enumerate_metapaths(

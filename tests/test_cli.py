@@ -183,6 +183,13 @@ def test_malformed_report_is_parse_error(tmp_path, capsys, row):
     assert f"{report}:2:" in capsys.readouterr().err
 
 
+def test_report_row_without_probability_is_precondition(tmp_path, capsys):
+    report = tmp_path / "pred.jsonl"
+    report.write_text('{"report": "predict-lp", "version": 1}\n{"label": 1}\n')
+    assert main(["eval-auc", "--predictions", str(report)]) == 3
+    assert "probability" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(tmp_path, g2_dir):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# no pairs\n")

@@ -238,6 +238,10 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
 
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auc([math.nan, math.nan, 0.5, 0.2], [1, 0, 1, 0])
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_pairwise_oracle(self, seed):
         rng = random.Random(seed)

@@ -8,6 +8,7 @@ from hinwalk import (
     parse_metapath,
     top_k,
 )
+from hinwalk.synth import BibliographicSpec, bibliographic_graph
 from corpus import oracle_counts, random_typed_graph
 
 
@@ -56,6 +57,17 @@ class TestBuildIndex:
         wide = parse_metapath("Person -found-> Organization")
         index = build_index(graph, [narrow, wide], [1.0, 1.0])
         assert index.score("p1", "g") == 2.0
+
+    def test_budget_bounds_outside_in_products(self):
+        # every product of the outside-in halves stays within the 64 stored
+        # entries of the result; multiplied left to right, the Author x Paper
+        # product after three steps would hold 93
+        graph, *_ = bibliographic_graph(BibliographicSpec(2, 3, 6, 2, 7))
+        path = parse_metapath(
+            "Author -authorOf-> Paper -publishIn-> Venue -publishIn~-> Paper -authorOf~-> Author"
+        )
+        index = build_index(graph, [path], nnz_budget=64)
+        assert index.matrix.nnz == 64
 
     def test_theta_shape_mismatch(self, g2, p_star):
         graph, _ = g2

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hinwalk import (
     MetaPath,
     UnknownRelationError,
     UnknownTypeError,
+    build_index,
     commuting_matrix,
     enumerate_metapaths,
     enumerate_path_instances,
@@ -25,6 +28,36 @@ P_FOUNDERS = "Person -found-> Organization -found~-> Person"
 
 def realized_paths(graph, max_len=3):
     return enumerate_metapaths(graph, "Object", "Object", max_len)
+
+
+def sampled_paths(graph, seed, lengths=(1, 2, 3, 4, 5, 6)):
+    """Relation sequences of random walks, two walks per length, each once
+    with ``Object`` endpoints and once typed with an assigned type of the
+    walk's first and last entity; interior node types stay ``Object``."""
+    rng = random.Random(seed)
+    out = []
+    for length in lengths:
+        for _ in range(2):
+            e = start = rng.randrange(graph.n_entities)
+            relations = []
+            for _ in range(length):
+                options = [
+                    (r, inv, w)
+                    for r, inv in graph.directions
+                    for w in graph.neighbors_idx(e, r, inv)
+                ]
+                if not options:
+                    break
+                r, inv, e = rng.choice(options)
+                relations.append(DirectedRelation(graph.relations[r], inv))
+            if len(relations) < length:
+                continue
+            path = relations_only(tuple(relations))
+            first = rng.choice(sorted(graph.assigned_types(graph.entity_name(start))))
+            last = rng.choice(sorted(graph.assigned_types(graph.entity_name(e))))
+            typed = MetaPath((first,) + path.node_types[1:-1] + (last,), path.relations)
+            out += [path, typed]
+    return out
 
 
 class TestWalkDistribution:
@@ -113,12 +146,58 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(30))
     def test_commuting_matrix_matches_counts(self, seed):
         graph, _ = random_typed_graph(seed, max_entities=14)
-        for path in realized_paths(graph):
+        for path in realized_paths(graph) + sampled_paths(graph, seed):
             matrix = commuting_matrix(graph, path)
+            assert matrix.matrix.dtype == np.int64
+            for entities, end_type in (
+                (matrix.row_entities, path.source_type),
+                (matrix.col_entities, path.target_type),
+            ):
+                members = [e for e in graph.entities if end_type in graph.entity_types(e)]
+                assert entities == tuple(members)
             for source in matrix.row_entities:
                 counts = oracle_counts(graph, source, path)
                 for target in matrix.col_entities:
                     assert matrix.count(source, target) == counts.get(target, 0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_index_matches_weighted_counts(self, seed):
+        """A multi-path index whose end types differ but are compatible (a
+        type and a strict ancestor of it) equals the weighted sum of the
+        per-path commuting counts, over the union of the end-type members."""
+        graph, hierarchy = random_typed_graph(seed, max_entities=14)
+        rng = random.Random(seed)
+        paths = sampled_paths(graph, seed)
+        typed = [p for p in paths if p.source_type != "Object" and p.target_type != "Object"]
+        if not typed:
+            return
+        narrow = typed[-1]  # the longest typed sample
+        other = rng.choice(paths)
+        wide_ends = [
+            rng.choice(sorted(hierarchy.ancestors(t) - {t}))
+            for t in (narrow.source_type, narrow.target_type)
+        ]
+        wide = MetaPath(
+            (wide_ends[0],) + other.node_types[1:-1] + (wide_ends[1],), other.relations
+        )
+        metapaths = [narrow, wide, narrow]
+        theta = [1.0, 0.5, 0.25]  # powers of two keep the weighted sums exact
+
+        index = build_index(graph, metapaths, theta)
+        counts = [commuting_matrix(graph, mp) for mp in metapaths]
+        assert index.row_entities == counts[1].row_entities
+        assert index.col_entities == counts[1].col_entities
+        for row in index.row_entities:
+            for col in index.col_entities:
+                expected = sum(
+                    w * c.count(row, col)
+                    for w, c in zip(theta, counts)
+                    if row in c.row_entities and col in c.col_entities
+                )
+                assert index.score(row, col) == expected
+        m = index.matrix
+        assert all(np.all(np.diff(m.indices[a:b]) > 0) for a, b in zip(m.indptr, m.indptr[1:]))
+        assert not (m.data == 0).any()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_mass_total_vs_dead_ends(self, seed):
