@@ -2,17 +2,19 @@
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
-string order). Each relation is stored twice in compressed sparse row (CSR)
-form, once per traversal direction: an ``indptr`` array of length n + 1 and
-an ``indices`` array holding every entity's neighbours, sorted, at
-``indices[indptr[e]:indptr[e + 1]]``. The walk code works on type-filtered
-step matrices cut from these arrays (:meth:`HinGraph.step_matrix`).
+string order). Each relation direction is stored once, as the boolean
+compressed sparse row (CSR) matrix of its untyped step
+(:class:`StepMatrix`, row and column type both the root): row ``e`` holds
+entity ``e``'s neighbours, sorted, one ``True`` per distinct edge. Neighbour
+queries read these matrices, and the type-filtered steps the walk code
+multiplies (:meth:`HinGraph.step_matrix`) are cut from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,7 +79,10 @@ class TypeHierarchy:
         self._parents: dict[str, tuple[str, ...]] = {
             t: tuple(sorted(parents.get(t, ()))) for t in sorted(types)
         }
-        order = self._parents_first()
+        try:
+            order = list(TopologicalSorter(self._parents).static_order())  # parents first
+        except CycleError as exc:
+            raise HierarchyError(f"cycle in hierarchy: {' -> '.join(exc.args[1])}") from None
 
         for t in sorted(types):
             if t != root and not self._parents[t]:
@@ -89,34 +94,6 @@ class TypeHierarchy:
             ps = self._parents[t]
             self._ancestors[t] = frozenset({t}.union(*map(self._ancestors.__getitem__, ps)))
             self._depth[t] = 1 + max(map(self._depth.__getitem__, ps)) if ps else 0
-
-    def _parents_first(self) -> list[str]:
-        """Every type after all of its parents (DFS post-order over parent
-        edges, iterative so deep chains fit); raises on a cycle."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {t: WHITE for t in self._parents}
-        order: list[str] = []
-        for start in sorted(self._parents):
-            if color[start] != WHITE:
-                continue
-            stack: list[tuple[str, int]] = [(start, 0)]
-            color[start] = GRAY
-            while stack:
-                node, i = stack[-1]
-                ps = self._parents[node]
-                if i < len(ps):
-                    stack[-1] = (node, i + 1)
-                    p = ps[i]
-                    if color[p] == GRAY:
-                        raise HierarchyError(f"cycle in hierarchy at edge {node!r} -> {p!r}")
-                    if color[p] == WHITE:
-                        color[p] = GRAY
-                        stack.append((p, 0))
-                else:
-                    color[node] = BLACK
-                    order.append(node)
-                    stack.pop()
-        return order
 
     @property
     def types(self) -> tuple[str, ...]:
@@ -167,25 +144,30 @@ class TypeHierarchy:
 # overflow them would not fit in memory as Python objects.
 INDEX_DTYPE = np.int32
 
-# One relation traversed in one direction: (indptr, indices).
-Csr = tuple[np.ndarray, np.ndarray]
-
 
 class StepMatrix:
     """One directed relation's adjacency between row-type and column-type
-    members. ``counts`` has a 1 per edge, so products count path instances;
-    ``walk`` divides each row by its number of edges (the uniform walk step)
-    and ``walk_t`` is its transpose. Both are built on first use."""
+    members: ``edges`` is a boolean CSR matrix with one ``True`` per edge, so
+    boolean products give reachable sets. ``counts`` (int64, products count
+    path instances) and ``walk`` (each row divided by its number of edges,
+    the uniform walk step) share its ``indptr`` and ``indices``; ``walk_t``
+    is the transpose of ``walk``. All three are built on first use."""
 
-    def __init__(self, counts: sp.csr_array):
-        self.counts = counts
+    def __init__(self, edges: sp.csr_array):
+        self.edges = edges
+
+    def _with_data(self, data: np.ndarray) -> sp.csr_array:
+        e = self.edges
+        return sp.csr_array((data, e.indices, e.indptr), shape=e.shape)
+
+    @cached_property
+    def counts(self) -> sp.csr_array:
+        return self._with_data(np.ones(self.edges.nnz, dtype=np.int64))
 
     @cached_property
     def walk(self) -> sp.csr_array:
-        c = self.counts
-        degree = np.diff(c.indptr)
-        data = 1.0 / np.repeat(degree, degree)
-        return sp.csr_array((data, c.indices, c.indptr), shape=c.shape)
+        degree = np.diff(self.edges.indptr)
+        return self._with_data(1.0 / np.repeat(degree, degree))
 
     @cached_property
     def walk_t(self) -> sp.csr_array:
@@ -196,15 +178,17 @@ class HinGraph:
     """Typed multigraph where every edge is queryable in both directions.
 
     Instances are immutable after construction; all query methods are pure.
-    Step matrices are memoized per instance on first use. Build graphs with
-    :func:`build_graph`, not by calling this constructor directly.
+    The untyped step of every relation direction is its stored adjacency;
+    type-filtered steps are cut from it and memoized per instance on first
+    use. Build graphs with :func:`build_graph`, not by calling this
+    constructor directly.
     """
 
     def __init__(
         self,
         entities: Sequence[str],
         relations: Sequence[str],
-        adjacency: Sequence[tuple[Csr, Csr]],
+        adjacency: Sequence[tuple[sp.csr_array, sp.csr_array]],
         assigned_types: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
     ):
@@ -213,9 +197,15 @@ class HinGraph:
         self.hierarchy = hierarchy
         self._eindex = {name: i for i, name in enumerate(self.entities)}
         self._rindex = {name: i for i, name in enumerate(self.relations)}
-        self._adj = tuple(adjacency)  # [relation][inverted] -> (indptr, indices)
         self._assigned = tuple(assigned_types)
-        self._steps: dict[tuple[int, bool, str, str], StepMatrix] = {}
+        root = hierarchy.root
+        # seeded with each direction's untyped step, the one stored adjacency:
+        # adjacency[relation][inverted] is its boolean edge matrix
+        self._steps: dict[tuple[int, bool, str, str], StepMatrix] = {
+            (r, inv, root, root): StepMatrix(edges)
+            for r, pair in enumerate(adjacency)
+            for inv, edges in zip((False, True), pair)
+        }
 
         closure = {
             types: frozenset().union(*map(hierarchy.ancestors, types))
@@ -254,8 +244,9 @@ class HinGraph:
 
     def neighbors_idx(self, entity: int, relation: int, inverted: bool) -> list[int]:
         """Sorted neighbour indices."""
-        indptr, indices = self._adj[relation][inverted]
-        return indices[indptr[entity] : indptr[entity + 1]].tolist()
+        root = self.hierarchy.root
+        edges = self._steps[relation, inverted, root, root].edges
+        return edges.indices[edges.indptr[entity] : edges.indptr[entity + 1]].tolist()
 
     def entity_rels_idx(self, entity: int) -> tuple[tuple[int, bool], ...]:
         """Directed relations with at least one edge at this entity."""
@@ -268,20 +259,18 @@ class HinGraph:
         self, relation: int, inverted: bool, row_type: str, col_type: str
     ) -> StepMatrix:
         """The relation's adjacency with rows kept for ``row_type`` members and
-        columns for ``col_type`` members."""
+        columns for ``col_type`` members, cut from its untyped step."""
         key = (relation, inverted, row_type, col_type)
         step = self._steps.get(key)
         if step is None:
+            root = self.hierarchy.root
+            edges = self._steps[relation, inverted, root, root].edges
             n = self.n_entities
-            indptr, indices = self._adj[relation][inverted]
-            rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(indptr))
+            rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(edges.indptr))
             keep = np.isin(rows, self.type_members(row_type))
-            keep &= np.isin(indices, self.type_members(col_type))
-            counts = sp.csr_array(
-                (np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], indices[keep])),
-                shape=(n, n),
-            )
-            step = self._steps[key] = StepMatrix(counts)
+            keep &= np.isin(edges.indices, self.type_members(col_type))
+            cut = sp.csr_array((edges.data[keep], (rows[keep], edges.indices[keep])), shape=(n, n))
+            step = self._steps[key] = StepMatrix(cut)
         return step
 
     # -- name-level API --
@@ -323,10 +312,10 @@ class HinGraph:
         return self._type_members.get(type_id, np.zeros(0, dtype=INDEX_DTYPE))
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> Csr:
-    """Sorted, deduplicated CSR arrays of the edges rows[k] -> cols[k]."""
-    matrix = sp.csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
-    return matrix.indptr, matrix.indices
+def _edges(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_array:
+    """Boolean CSR matrix of the edges rows[k] -> cols[k]: indices sorted,
+    duplicates collapsed (summing booleans is a logical or)."""
+    return sp.csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
 
 
 def build_graph(
@@ -378,7 +367,7 @@ def build_graph(
     adjacency = []
     for r in range(len(relations)):
         mask = rel == r
-        adjacency.append((_csr(src[mask], dst[mask], n), _csr(dst[mask], src[mask], n)))
+        adjacency.append((_edges(src[mask], dst[mask], n), _edges(dst[mask], src[mask], n)))
 
     shared: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct type set
     assigned_types = []

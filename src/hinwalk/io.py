@@ -129,9 +129,9 @@ def parse_bundle(bundle: DatasetBundle) -> ParsedBundle:
     return ParsedBundle(graph, hierarchy, rows, holdout)
 
 
-def pair_set_from_rows(rows: Iterable[ExampleRow], positives_only: bool = True) -> ExamplePairSet:
+def pair_set_from_rows(rows: Iterable[ExampleRow]) -> ExamplePairSet:
     """Example pairs for path generation; labeled negatives are excluded."""
-    chosen = [r for r in rows if not (positives_only and r.label == 0)]
+    chosen = [r for r in rows if r.label != 0]
     return ExamplePairSet(
         [(r.source, r.target) for r in chosen],
         {(r.source, r.target): r.weight for r in chosen},

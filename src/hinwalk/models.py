@@ -8,6 +8,7 @@ below the stopping tolerance instead of running on towards infinite weights.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UnknownEntityError
+from .errors import BudgetExceededError, ParseError, UnknownEntityError
 from .graph import HinGraph
 from .metapath import MetaPath, format_metapath, parse_metapath
 from .walks import walk_mass
@@ -255,28 +256,36 @@ def load_model(path: str | Path) -> tuple[LogisticModel, tuple[MetaPath, ...]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split("\t") != [MODEL_FORMAT, str(MODEL_VERSION)]:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-    fields: dict[str, str] = {}
+    fields: dict[str, float] = {}
     weights: list[float] = []
     paths: list[MetaPath] = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split("\t")
-        if parts[0] == "path":
-            if len(parts) != 3:
-                raise ValueError(f"{path}: malformed path line {line!r}")
-            weights.append(float(parts[1]))
+        expected = 3 if parts[0] == "path" else 2
+        if len(parts) != expected:
+            raise ParseError(path, lineno, line, f"expected {expected} tab-separated fields, got {len(parts)}")
+        try:
+            value = float(parts[1])
+        except ValueError:
+            value = math.nan  # rejected below with nan and inf
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, line, f"{parts[1]!r} is not a finite number")
+        if parts[0] != "path":
+            fields[parts[0]] = value
+            continue
+        weights.append(value)
+        try:
             paths.append(parse_metapath(parts[2]))
-        elif len(parts) == 2:
-            fields[parts[0]] = parts[1]
-        else:
-            raise ValueError(f"{path}: malformed line {line!r}")
+        except ValueError as exc:
+            raise ParseError(path, lineno, line, str(exc)) from None
     try:
         model = LogisticModel(
             weights=np.array(weights),
-            bias=float(fields["bias"]),
-            l2_strength=float(fields["l2"]),
-            fit_bias=bool(int(fields["fit_bias"])),
+            bias=fields["bias"],
+            l2_strength=fields["l2"],
+            fit_bias=bool(fields["fit_bias"]),
         )
     except KeyError as missing:
         raise ValueError(f"{path}: missing model field {missing}") from None

@@ -27,6 +27,7 @@ later rounds can grow longer sequences through it instead of starting over.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -45,7 +46,7 @@ PRIORITY_DECIMALS = 12
 
 
 class ExamplePairSet:
-    """User-supplied example pairs with positive weights (default 1.0)."""
+    """User-supplied example pairs with positive, finite weights (default 1.0)."""
 
     def __init__(
         self,
@@ -60,8 +61,8 @@ class ExamplePairSet:
             if pair in seen:
                 continue
             w = float(weights.get(pair, 1.0))
-            if w <= 0:
-                raise ValueError(f"example pair {pair} has non-positive weight {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"example pair {pair} has weight {w}, not positive and finite")
             seen[pair] = w
             order.append(pair)
         if not order:
@@ -339,16 +340,11 @@ def generate_paths(
     """
     config = config or SearchConfig()
     tree = SearchTree(graph, examples, config, record_trace=record_trace)
-    paths: list[GeneratedPath] = []
-    signatures: set[tuple] = set()
+    paths: list[GeneratedPath] = []  # each tree node has its own sequence and emits once
     while len(paths) < config.max_paths:
         emitted = tree.next_path()
         if emitted is None:
             break
-        sig = tuple((r.name, r.inverted) for r in emitted.relations)
-        if sig in signatures:
-            continue
-        signatures.add(sig)
         paths.append(emitted)
 
     values = np.zeros((len(examples.pairs), len(paths)))

@@ -9,12 +9,13 @@ per-source masses sum to at most 1.
 Every traversal, here and in the tree search, is one sparse product per
 step, ``mass @ step``, with a directed relation's adjacency restricted to the
 step's node types (:meth:`HinGraph.step_matrix`): row-normalised it moves
-walk mass, as raw counts it counts path instances (the commuting matrix).
-Commuting counts are built inside their row x column block as two half-path
-products that grow from the outside in, from the rows and from the columns,
-and meet in the middle in one final product (:func:`block_counts`);
-``nnz_budget`` bounds every one of these products. The similarity index
-multiplies the halves in float64, which is exact for counts below 2**53.
+walk mass, as raw counts it counts path instances (the commuting matrix),
+as booleans it marks reachable entities (meta-path enumeration). Commuting
+counts are built inside their row x column block as two half-path products
+that grow from the outside in, from the rows and from the columns, and meet
+in the middle in one final product (:func:`block_counts`); ``nnz_budget``
+bounds every one of these products. The similarity index multiplies the
+halves in float64, which is exact for counts below 2**53.
 
 Two deliberately independent routes exist for every quantity: the sparse
 products here, and exhaustive depth-first enumeration of concrete path
@@ -280,18 +281,19 @@ def enumerate_metapaths(
 ) -> list[MetaPath]:
     """All relation sequences of length 1..max_len realized by some instance.
 
-    Breadth-first sweep over relation-sequence prefixes: a level is a sparse
-    matrix with one row per sequence, marking the entities reachable along it
-    from any source-type entity, and one product per directed relation
-    extends the whole level. A sequence qualifies when its reachable set
-    meets the target-type entities. Results are ordered by length, then by
-    relation sequence; node types are left at the wildcard root type.
+    Breadth-first sweep over relation-sequence prefixes: a level is a boolean
+    sparse matrix with one row per sequence, marking the entities reachable
+    along it from any source-type entity, and one boolean product per
+    directed relation extends the whole level. A sequence qualifies when its
+    reachable set meets the target-type entities. Results are ordered by
+    length, then by relation sequence; node types are left at the wildcard
+    root type.
     """
     n = graph.n_entities
     start = graph.type_members(source_type)
-    targets = np.zeros(n)
-    targets[graph.type_members(target_type)] = 1.0
-    if max_len <= 0 or not len(start) or not targets.any():
+    is_target = np.zeros(n, dtype=bool)
+    is_target[graph.type_members(target_type)] = True
+    if max_len <= 0 or not len(start) or not is_target.any():
         return []
 
     root = graph.hierarchy.root
@@ -299,22 +301,20 @@ def enumerate_metapaths(
 
     found: list[tuple[tuple[int, bool], ...]] = []
     seqs: list[tuple[tuple[int, bool], ...]] = [()]
-    reach = sp.csr_array((np.ones(len(start)), start, [0, len(start)]), shape=(1, n))
+    reach = sp.csr_array((np.ones(len(start), dtype=bool), start, [0, len(start)]), shape=(1, n))
     for length in range(1, max_len + 1):
         next_seqs: list[tuple[tuple[int, bool], ...]] = []
         blocks = []
         for d, step in zip(graph.directions, steps):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceededError("meta-path enumeration deadline exceeded")
-            following = reach @ step.walk
+            following = reach @ step.edges  # bool @ bool stays bool in scipy
             live = np.diff(following.indptr) > 0
-            hits = (following @ targets) > 0.0
+            hits = following @ is_target
             found.extend(seq + (d,) for seq, hit in zip(seqs, hits) if hit)
             if length < max_len and live.any():
                 next_seqs.extend(seq + (d,) for seq, alive in zip(seqs, live) if alive)
-                block = following[live]
-                block.data[:] = 1.0  # keep only the reachable set, not the mass
-                blocks.append(block)
+                blocks.append(following[live])
         if not next_seqs:
             break
         seqs = next_seqs

@@ -175,6 +175,39 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_nonfinite_example_weight_is_precondition(workdir, capsys, weight):
+    examples = workdir / "weighted.tsv"
+    examples.write_text(f"v1\tv2\t{weight}\n")
+    code = main(["generate-paths", *bundle_args(workdir), "--examples", str(examples)])
+    assert code == 3
+    assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "path\t1.0",
+        "path\tabc\tVenue -publishIn~-> Paper",
+        "path\t1.0\tVenue -publishIn",
+        "path\tnan\tVenue -publishIn~-> Paper",
+        "bias\t0.0\textra",
+        "bias\tabc",
+    ],
+)
+def test_malformed_model_line_is_parse_error(workdir, capsys, line):
+    model_file = workdir / "model.tsv"
+    model_file.write_text(f"hinwalk-model\t1\nl2\t0.01\nfit_bias\t1\n{line}\n")
+    pairs = workdir / "pairs.tsv"
+    pairs.write_text("v1\tv2\n")
+    code = main(
+        ["predict-lp", *bundle_args(workdir), "--model", str(model_file),
+         "--pairs", str(pairs), "--output", str(workdir / "pred.jsonl")]
+    )
+    assert code == 2
+    assert f"{model_file}:4:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ['{"probability": 0.5,', "5"])
 def test_malformed_report_is_parse_error(tmp_path, capsys, row):
     report = tmp_path / "pred.jsonl"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from hinwalk import (
     UnknownEntityError,
     UnknownTypeError,
     build_graph,
+    commuting_matrix,
+    parse_metapath,
 )
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
@@ -45,10 +48,16 @@ class TestBuildGraph:
         dup, _ = build_graph(G1_TRIPLES + [("p1", "found", "g")], G1_TYPES, G1_HIERARCHY)
         assert dup.entities == graph.entities
         assert dup.out_neighbors("g", FOUND_INV) == graph.out_neighbors("g", FOUND_INV)
+        one_step = commuting_matrix(dup, parse_metapath("Person -found-> Company"))
+        assert one_step.count("p1", "g") == 1
 
     def test_hierarchy_cycle_rejected(self):
         with pytest.raises(HierarchyError, match="cycle"):
             build_graph([], [], [("A", "B"), ("B", "A")])
+
+    def test_hierarchy_self_loop_rejected(self):
+        with pytest.raises(HierarchyError, match="cycle in hierarchy: A -> A"):
+            build_graph([], [], [("A", "Object"), ("A", "A")])
 
     def test_dangling_type_rejected(self):
         with pytest.raises(UnknownTypeError):
@@ -116,6 +125,19 @@ class TestNeighbors:
                     if got:
                         rels.append((r, inv))
             assert graph.entity_rels_idx(e) == tuple(rels)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_untyped_steps_are_the_adjacency(self, seed):
+        graph, _ = random_typed_graph(seed)
+        root = graph.hierarchy.root
+        for r, inv in graph.directions:
+            step = graph.step_matrix(r, inv, root, root)
+            assert step.edges.dtype == bool
+            dense = step.edges.toarray()
+            for e in range(graph.n_entities):
+                assert graph.neighbors_idx(e, r, inv) == np.flatnonzero(dense[e]).tolist()
+            assert np.shares_memory(step.counts.indices, step.edges.indices)
+            assert np.shares_memory(step.walk.indices, step.edges.indices)
 
 
 class TestEntityTypes:

@@ -90,6 +90,11 @@ class TestExamplePairSet:
         with pytest.raises(ValueError):
             ExamplePairSet([("a", "b")], {("a", "b"): 0.0})
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExamplePairSet([("a", "b")], {("a", "b"): weight})
+
     def test_duplicate_pairs_collapse(self):
         eps = ExamplePairSet([("a", "b"), ("a", "b")])
         assert len(eps) == 1
