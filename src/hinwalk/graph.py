@@ -12,10 +12,13 @@ multiplies (:meth:`HinGraph.step_matrix`) are cut from them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Sequence
+from itertools import filterfalse
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +45,11 @@ class DirectedRelation:
 
     def __str__(self) -> str:
         return self.name + ("~" if self.inverted else "")
+
+
+# the entity ids _check_identifier accepts: regex \s and str.isspace read
+# the same Unicode whitespace table
+_ENTITY_ID = re.compile(r"(?:(?!->)\S)+")
 
 
 def _check_identifier(kind: str, name: str) -> None:
@@ -186,16 +194,16 @@ class HinGraph:
 
     def __init__(
         self,
-        entities: Sequence[str],
+        entity_index: dict[str, int],
         relations: Sequence[str],
         adjacency: Sequence[tuple[sp.csr_array, sp.csr_array]],
         assigned_types: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
     ):
-        self.entities: tuple[str, ...] = tuple(entities)
+        self.entities: tuple[str, ...] = tuple(entity_index)  # in index order
         self.relations: tuple[str, ...] = tuple(relations)
         self.hierarchy = hierarchy
-        self._eindex = {name: i for i, name in enumerate(self.entities)}
+        self._eindex = entity_index
         self._rindex = {name: i for i, name in enumerate(self.relations)}
         self._assigned = tuple(assigned_types)
         root = hierarchy.root
@@ -212,11 +220,15 @@ class HinGraph:
             for types in set(self._assigned)
         }
         self._closed: tuple[frozenset[str], ...] = tuple(map(closure.__getitem__, self._assigned))
-        members: dict[str, list[int]] = {}
-        for i, full in enumerate(self._closed):
+        # entities grouped by assigned type set, ascending within each group
+        code = dict(zip(closure, range(len(closure))))
+        codes = np.fromiter(map(code.__getitem__, self._assigned), INDEX_DTYPE, len(self._assigned))
+        order, runs = _runs(codes, len(code))
+        members: dict[str, list[np.ndarray]] = {}
+        for full, (a, b) in zip(closure.values(), runs):
             for t in full:
-                members.setdefault(t, []).append(i)
-        self._type_members = {t: np.array(idx, dtype=INDEX_DTYPE) for t, idx in members.items()}
+                members.setdefault(t, []).append(order[a:b].astype(INDEX_DTYPE))
+        self._type_members = {t: np.sort(np.concatenate(g)) for t, g in members.items()}
         for arr in self._type_members.values():
             arr.flags.writeable = False  # shared with every caller of type_members
 
@@ -318,6 +330,27 @@ def _edges(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_array:
     return sp.csr_array((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
 
 
+def _rows(rows: Iterable[tuple], width: int) -> Sequence[tuple]:
+    """The rows as a sequence; raises ``ValueError`` unless each row has
+    ``width`` fields."""
+    rows = rows if isinstance(rows, Sequence) else list(rows)
+    lengths = set(map(len, rows))
+    if lengths - {width}:
+        raise ValueError(f"expected rows of {width} fields, got lengths {sorted(lengths)}")
+    return rows
+
+
+def _column(rows: Sequence[tuple], i: int) -> Iterator[str]:
+    return map(itemgetter(i), rows)
+
+
+def _runs(codes: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Positions ordered by code, stably, and the ``[start, end)`` run of each
+    code ``0 .. k-1`` in that order."""
+    ends = np.cumsum(np.bincount(codes, minlength=k)).tolist()
+    return np.argsort(codes, kind="stable"), list(zip([0] + ends[:-1], ends))
+
+
 def build_graph(
     triples: Iterable[tuple[str, str, str]],
     type_assignments: Iterable[tuple[str, str]] = (),
@@ -331,49 +364,56 @@ def build_graph(
     absent from the hierarchy.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
+    triples = _rows(triples, 3)
+    assignments = _rows(type_assignments, 2)
 
-    sources: list[str] = []
-    rels: list[str] = []
-    targets: list[str] = []
-    for s, r, t in triples:  # a triple of another length raises ValueError
-        sources.append(s)
-        rels.append(r)
-        targets.append(t)
-    relation_names = set(rels)
-    entity_names = set(sources) | set(targets)
+    type_ids = set(_column(assignments, 1))
+    unknown = type_ids.difference(hierarchy.types)
+    if unknown:
+        entity, type_id = next(row for row in assignments if row[1] in unknown)
+        raise UnknownTypeError(
+            f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
+        )
 
-    assigned: dict[str, set[str]] = {}
-    for entity, type_id in type_assignments:
-        if type_id not in hierarchy:
-            raise UnknownTypeError(
-                f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
-            )
-        entity_names.add(entity)
-        assigned.setdefault(entity, set()).add(type_id)
-
-    entities = tuple(sorted(entity_names))
-    relations = tuple(sorted(relation_names))
-    for name in entities:
-        _check_identifier("entity", name)
+    entity_names = set(_column(triples, 0))
+    entity_names.update(_column(triples, 2), _column(assignments, 0))
+    bad = min(filterfalse(_ENTITY_ID.fullmatch, entity_names), default=None)
+    if bad is not None:
+        _check_identifier("entity", bad)
+    relations = sorted(set(_column(triples, 1)))
     for name in relations:
         _check_identifier("relation", name)
 
-    n = len(entities)
-    eindex = {name: i for i, name in enumerate(entities)}
-    rindex = {name: i for i, name in enumerate(relations)}
-    src = np.fromiter(map(eindex.__getitem__, sources), INDEX_DTYPE, len(sources))
-    dst = np.fromiter(map(eindex.__getitem__, targets), INDEX_DTYPE, len(sources))
-    rel = np.fromiter(map(rindex.__getitem__, rels), INDEX_DTYPE, len(sources))
+    n = len(entity_names)
+    eindex = dict(zip(sorted(entity_names), range(n)))
+    rindex = dict(zip(relations, range(len(relations))))
+    src, rel, dst = (
+        np.fromiter(map(index.__getitem__, _column(triples, i)), INDEX_DTYPE, len(triples))
+        for i, index in enumerate((eindex, rindex, eindex))
+    )
+    # edges grouped by relation with one sort, not one full-length mask per
+    # relation
+    order, runs = _runs(rel, len(relations))
     adjacency = []
-    for r in range(len(relations)):
-        mask = rel == r
-        adjacency.append((_edges(src[mask], dst[mask], n), _edges(dst[mask], src[mask], n)))
+    for a, b in runs:
+        s, t = src[order[a:b]], dst[order[a:b]]
+        adjacency.append((_edges(s, t, n), _edges(t, s, n)))
 
-    shared: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct type set
-    assigned_types = []
-    for name in entities:
-        types = frozenset(assigned.get(name, (hierarchy.root,)))
-        assigned_types.append(shared.setdefault(types, types))
+    # one frozenset object per distinct type set: each typed entity gets the
+    # type of its last row, and the types of its other rows if it has more
+    last = dict(zip(_column(assignments, 0), _column(assignments, 1)))
+    single = {t: frozenset((t,)) for t in type_ids | {hierarchy.root}}
+    single[None] = single[hierarchy.root]
+    assigned_types = list(map(single.__getitem__, map(last.get, eindex)))
+    if len(last) < len(assignments):  # some entity has more than one row
+        more: dict[str, set[str]] = {}
+        pairs = set(zip(_column(assignments, 0), _column(assignments, 1)))
+        for entity, type_id in pairs.difference(last.items()):
+            more.setdefault(entity, {last[entity]}).add(type_id)
+        shared: dict[frozenset[str], frozenset[str]] = {}
+        for entity, types in more.items():
+            types = frozenset(types)
+            assigned_types[eindex[entity]] = shared.setdefault(types, types)
 
-    graph = HinGraph(entities, relations, adjacency, assigned_types, hierarchy)
+    graph = HinGraph(eindex, relations, adjacency, assigned_types, hierarchy)
     return graph, hierarchy

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceededError, UnknownEntityError, UnknownTypeError
-from .graph import DirectedRelation, HinGraph, StepMatrix
+from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix
 from .metapath import MetaPath, relations_only
 
 DEFAULT_NNZ_BUDGET = 50_000_000
@@ -82,7 +82,11 @@ def walk_mass(graph: HinGraph, sources: Sequence[int], metapath: MetaPath) -> sp
     """Walk mass from each source (rows, in the given order) over entities."""
     steps = _step_matrices(graph, metapath, sources)
     k = len(sources)
-    mass = sp.csr_array((np.ones(k), sources, np.arange(k + 1)), shape=(k, graph.n_entities))
+    # int32 indices, as in the step matrices: scipy copies an int32 operand
+    # to int64 on every product with an int64 one
+    indices = np.asarray(sources, dtype=INDEX_DTYPE)
+    indptr = np.arange(k + 1, dtype=INDEX_DTYPE)
+    mass = sp.csr_array((np.ones(k), indices, indptr), shape=(k, graph.n_entities))
     for step in steps:
         mass = mass @ step.walk
     return mass
@@ -224,7 +228,8 @@ def block_counts(
     nnz_budget: int = DEFAULT_NNZ_BUDGET,
     dtype: type = np.int64,
 ) -> sp.csr_array:
-    """Path-instance counts from the ``rows`` entities to the ``cols`` entities.
+    """Path-instance counts from the ``rows`` entities to the ``cols`` entities
+    (sorted, distinct entity indices, as :func:`type_block` returns them).
 
     Two half-path products grow from the outside in: the first step is cut to
     the rows and the left half multiplied left to right, the last step is cut
@@ -241,18 +246,22 @@ def block_counts(
             )
         return product
 
+    n = graph.n_entities
     counts = [step.counts for step in _step_matrices(graph, metapath)]
     if not counts:  # zero steps: each start-type member reaches itself once
         idx = graph.type_members(metapath.source_type)
-        n = graph.n_entities
         counts = [sp.csr_array((np.ones(len(idx), dtype=np.int64), (idx, idx)), shape=(n, n))]
     mid = (len(counts) + 1) // 2
-    left = counts[0][rows]
+    # sorted, distinct rows (cols) that number n are all entities: that cut
+    # would only copy the step, so it is skipped
+    left = counts[0] if len(rows) == n else counts[0][rows]
     for step in counts[1:mid]:
         left = checked(left @ step)
     if mid == len(counts):  # one step: the cut first step is the whole path
-        return checked(left[:, cols].astype(dtype, copy=False))
-    right = counts[-1][:, cols]
+        block = left if len(cols) == n else left[:, cols]
+        # the result never shares the graph's cached step
+        return checked(block.astype(dtype, copy=block is counts[0]))
+    right = counts[-1] if len(cols) == n else counts[-1][:, cols]
     for step in reversed(counts[mid:-1]):
         right = checked(step @ right)
     return checked(left.astype(dtype, copy=False) @ right.astype(dtype, copy=False))

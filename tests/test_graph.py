@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hinwalk import (
     commuting_matrix,
     parse_metapath,
 )
+from hinwalk.graph import _ENTITY_ID
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -80,6 +83,93 @@ class TestBuildGraph:
     def test_triple_of_wrong_length_rejected(self, bad):
         with pytest.raises(ValueError):
             build_graph([("a", "r", "b"), bad], [], [])
+        with pytest.raises(ValueError):
+            build_graph(iter([("a", "r", "b"), bad]), [], [])
+
+    @pytest.mark.parametrize("bad", [("a",), ("a", "T", "U")])
+    def test_assignment_of_wrong_length_rejected(self, bad):
+        with pytest.raises(ValueError):
+            build_graph([("a", "r", "b")], [("b", "T"), bad], [("T", "Object")])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generator_input_equals_list_input(self, seed):
+        rng = random.Random(seed)
+        entities = [f"e{i}" for i in range(12)]
+        triples = [
+            (rng.choice(entities), f"r{rng.randint(0, 3)}", rng.choice(entities))
+            for _ in range(30)
+        ]
+        types = [(e, rng.choice(["T", "U"])) for e in entities if rng.random() < 0.7]
+        hier = [("T", "Object"), ("U", "Object")]
+        listed, _ = build_graph(triples, types, hier)
+        generated, _ = build_graph((t for t in triples), (t for t in types), iter(hier))
+        assert generated.entities == listed.entities
+        assert generated.relations == listed.relations
+        for e in listed.entities:
+            assert generated.assigned_types(e) == listed.assigned_types(e)
+        root = listed.hierarchy.root
+        for d in listed.directions:
+            a = listed.step_matrix(*d, root, root).edges
+            b = generated.step_matrix(*d, root, root).edges
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+
+    def test_multi_typed_entities_share_type_sets(self):
+        graph, _ = build_graph(
+            [("a", "r", "b"), ("c", "r", "d")],
+            [("a", "T"), ("a", "U"), ("b", "U"), ("b", "T"), ("b", "T"), ("c", "T"), ("d", "U")],
+            [("T", "Object"), ("U", "Object")],
+        )
+        assert graph.assigned_types("a") == frozenset({"T", "U"})
+        assert graph.assigned_types("a") is graph.assigned_types("b")
+        assert graph.assigned_types("c") == frozenset({"T"})
+        assert graph.assigned_types("d") == frozenset({"U"})
+        assert graph.type_members("T").tolist() == [0, 1, 2]
+        assert graph.type_members("U").tolist() == [0, 1, 3]
+        assert graph.type_members("Object").tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("", "empty entity id"),
+            ("a b", "entity id 'a b' must not contain whitespace"),
+            ("a\u00a0b", r"entity id 'a\xa0b' must not contain whitespace"),
+            ("a\u2028b", r"entity id 'a\u2028b' must not contain whitespace"),
+            ("a->b", "entity id 'a->b' must not contain '->'"),
+        ],
+    )
+    def test_bad_entity_id_rejected(self, name, message):
+        for triples, types in (
+            ([("a", "r", name)], []),
+            ([("a", "r", "b")], [(name, "Object")]),
+        ):
+            with pytest.raises(ValueError) as err:
+                build_graph(triples, types, [])
+            assert str(err.value) == message
+
+    def test_entity_id_pattern_reads_the_isspace_table(self):
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = set(filter(str.isspace, chars))
+        assert set(re.findall(r"\s", chars)) == spaces
+        assert not any(_ENTITY_ID.fullmatch(f"a{c}b") for c in spaces)
+        assert _ENTITY_ID.fullmatch("a-b>c~")
+
+    def test_first_bad_entity_id_in_name_order_reported(self):
+        with pytest.raises(ValueError, match="'b c'"):
+            build_graph([("x y", "r", "b c"), ("a", "r", "z->")], [], [])
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("r s", "relation id 'r s' must not contain whitespace"),
+            ("r->s", "relation id 'r->s' must not contain '->'"),
+            ("r~", "relation id 'r~' must not end with '~'"),
+        ],
+    )
+    def test_bad_relation_id_rejected(self, name, message):
+        with pytest.raises(ValueError) as err:
+            build_graph([("a", name, "b")], [], [])
+        assert str(err.value) == message
 
     def test_deep_hierarchy(self):
         # T0 -> Object, T1 -> T0, ..., T1499 -> T1498, plus a shortcut from

@@ -4,7 +4,9 @@ from hinwalk import DirectedRelation, ParseError
 from hinwalk.io import (
     DatasetBundle,
     ExampleRow,
+    load_edges,
     load_examples,
+    load_types,
     parse_bundle,
     pair_set_from_rows,
     read_report,
@@ -54,6 +56,65 @@ class TestParseBundle:
         path.write_text("# header comment\n\na\tr\tb\n")
         parsed = parse_bundle(DatasetBundle(edges_path=path))
         assert parsed.graph.entities == ("a", "b")
+
+
+class TestNameRows:
+    def test_one_object_per_distinct_name(self, tmp_path):
+        # names longer than one character: CPython shares one-character
+        # strings anyway
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("ann\tcites\tbob\nbob\tcites\tann\n# c\n\nann\tknows\tann\n")
+        types = tmp_path / "types.tsv"
+        types.write_text("ann\tPerson\nbob\tPerson\nbob\tAuthor\n")
+        for rows in (load_edges(edges), load_types(types)):
+            fields = [f for row in rows for f in row]
+            assert len({id(f) for f in fields}) == len(set(fields))
+        assert load_edges(edges) == [
+            ("ann", "cites", "bob"),
+            ("bob", "cites", "ann"),
+            ("ann", "knows", "ann"),
+        ]
+        assert load_types(types) == [("ann", "Person"), ("bob", "Person"), ("bob", "Author")]
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("a\tr\tb\na\tr\n", 2),
+            ("a\tr\tb\tc\n", 1),
+            ("a\tr\tb\na\t\tb\n", 2),
+            ("\ta\tr\n", 1),
+            ("a\tr\tb\r\nb\tr\r\n", 2),
+            ("# comment\n\na\tr\tb\n\n# more\na\tr\tb\tc\n", 6),
+        ],
+    )
+    def test_malformed_edge_line_is_parse_error(self, tmp_path, text, lineno):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert err.value.lineno == lineno
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("a\tT\nb\n", 2),
+            ("a\tT\tU\n", 1),
+            ("a\tT\n\tT\n", 2),
+            ("a\tT\r\nb\tT\tU\r\n", 2),
+            ("# comment\n\na\tT\n\nb\t\n", 5),
+        ],
+    )
+    def test_malformed_type_line_is_parse_error(self, tmp_path, text, lineno):
+        path = tmp_path / "types.tsv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as err:
+            load_types(path)
+        assert err.value.lineno == lineno
+
+    def test_crlf_lines_parse(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"a\tr\tb\r\n\r\nb\tr\ta\r\n")
+        assert load_edges(path) == [("a", "r", "b"), ("b", "r", "a")]
 
 
 class TestExamples:

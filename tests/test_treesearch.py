@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hinwalk import (
@@ -291,6 +292,18 @@ class TestTupleScores:
             for (s, t), f in tree.node_tuples(node).items():
                 assert f == pytest.approx(walk_probability(graph, s, t, path), abs=1e-12)
             stack.extend(node.children.values())
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_node_masses_keep_int32_indices(self, seed):
+        graph, _ = random_typed_graph(seed)
+        tree = SearchTree(graph, ExamplePairSet(random_example_pairs(graph, seed, n=3)))
+        nodes = [tree.root]
+        for node in nodes[:8]:
+            nodes += tree.expand_node(node)
+        for node in nodes:
+            assert node.tuples.mass.indices.dtype == np.int32
+            assert node.tuples.mass.indptr.dtype == np.int32
 
 
 class TestBestFirstProperty:

@@ -21,6 +21,7 @@ from hinwalk import (
     walk_distribution,
     walk_probability,
 )
+from hinwalk.walks import walk_mass
 from corpus import oracle_counts, oracle_distribution, random_typed_graph
 
 P_FOUNDERS = "Person -found-> Organization -found~-> Person"
@@ -321,6 +322,27 @@ class TestCommutingMatrix:
         graph, _ = g2
         with pytest.raises(BudgetExceededError, match="nnz"):
             commuting_matrix(graph, p_star, nnz_budget=1)
+
+    @pytest.mark.parametrize("path", ["Object -found-> Object", "Person -found-> Organization"])
+    def test_result_does_not_share_cached_step(self, g1, path):
+        graph, _ = g1
+        first = commuting_matrix(graph, parse_metapath(path))
+        first.matrix.data[:] = 7
+        assert commuting_matrix(graph, parse_metapath(path)).count("p1", "g") == 1
+
+
+class TestWalkMass:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_walks_keep_int32_indices(self, seed):
+        # build_features passes the int64 array np.unique returns, the tree
+        # search a list of ints
+        graph, _ = random_typed_graph(seed)
+        sources = np.unique(np.arange(0, graph.n_entities, 2))
+        for path in realized_paths(graph, max_len=2):
+            for given in (sources, sources.tolist()):
+                mass = walk_mass(graph, given, path)
+                assert mass.indices.dtype == np.int32
+                assert mass.indptr.dtype == np.int32
 
 
 class TestEnumerateMetapaths:
