@@ -32,8 +32,8 @@ def main():
         seed=args.seed,
         distractor_relations=6,
     )
-    bundle = generate_synthetic(spec, tempfile.mkdtemp(prefix="hinwalk_bench_"))
-    parsed = parse_bundle(bundle)
+    with tempfile.TemporaryDirectory(prefix="hinwalk_bench_") as tmp:
+        parsed = parse_bundle(generate_synthetic(spec, tmp))
     positives = [(r.source, r.target) for r in parsed.example_rows if r.label == 1]
 
     config = BenchConfig(

@@ -44,12 +44,11 @@ def main():
         n_pairs=args.pairs,
         distractor_relations=6,
     )
-    out_dir = args.out_dir or tempfile.mkdtemp(prefix="hinwalk_planted_")
-
     t0 = time.perf_counter()
-    bundle = generate_synthetic(spec, out_dir)
-    parsed = parse_bundle(bundle)
-    print(f"bundle in {out_dir} ({time.perf_counter() - t0:.1f}s), "
+    with tempfile.TemporaryDirectory(prefix="hinwalk_planted_") as tmp:
+        parsed = parse_bundle(generate_synthetic(spec, args.out_dir or tmp))
+    where = args.out_dir or "a temporary directory"
+    print(f"bundle in {where} ({time.perf_counter() - t0:.1f}s), "
           f"{parsed.graph.n_entities} entities, {len(parsed.graph.relations)} relations")
 
     positives = [(r.source, r.target) for r in parsed.example_rows if r.label == 1]

@@ -48,15 +48,6 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _endpoint_types(graph: HinGraph, pairs: Sequence[tuple[str, str]]) -> tuple[str, str]:
-    src_types: set[str] = set()
-    dst_types: set[str] = set()
-    for s, t in pairs:
-        src_types.update(graph.assigned_types(s))
-        dst_types.update(graph.assigned_types(t))
-    return graph.hierarchy.lca_of_set(src_types), graph.hierarchy.lca_of_set(dst_types)
-
-
 def run_benchmark(
     graph: HinGraph, pairs: Sequence[tuple[str, str]], config: BenchConfig = BenchConfig()
 ) -> BenchReport:
@@ -71,7 +62,8 @@ def run_benchmark(
         subset = list(pairs[:n])
         if not subset:
             raise ValueError(f"example size {n} leaves no pairs to benchmark")
-        source_type, target_type = _endpoint_types(graph, subset)
+        source_type = graph.lca_type([graph.entity_index(s) for s, _ in subset])
+        target_type = graph.lca_type([graph.entity_index(t) for _, t in subset])
 
         runs: list[float] = []
         n_paths = 0

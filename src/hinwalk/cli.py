@@ -36,12 +36,12 @@ def _add_bundle_args(p: argparse.ArgumentParser, need_examples: bool = False) ->
     )
 
 
-def _parse_bundle(args, examples_attr: str = "examples") -> hio.ParsedBundle:
+def _parse_bundle(args) -> hio.ParsedBundle:
     bundle = hio.DatasetBundle(
         edges_path=args.edges,
         types_path=args.types,
         hierarchy_path=args.hierarchy,
-        examples_path=getattr(args, examples_attr, None),
+        examples_path=args.examples,
     )
     return hio.parse_bundle(bundle)
 
@@ -77,10 +77,6 @@ def _load_paths_file(path: str):
     return out
 
 
-def _pair_rows(args, attr: str = "pairs") -> list[hio.ExampleRow]:
-    return hio.load_examples(getattr(args, attr))
-
-
 def cmd_generate_paths(args) -> int:
     parsed = _parse_bundle(args)
     examples = hio.pair_set_from_rows(parsed.example_rows)
@@ -108,7 +104,7 @@ def cmd_generate_paths(args) -> int:
 def cmd_score(args) -> int:
     parsed = _parse_bundle(args)
     paths = _load_paths_file(args.paths)
-    rows = _pair_rows(args)
+    rows = hio.load_examples(args.pairs)
     pairs = [(r.source, r.target) for r in rows]
     matrix = models.build_features(parsed.graph, pairs, paths)
     for (s, t), vals in zip(matrix.pairs, matrix.values):
@@ -152,7 +148,7 @@ def cmd_train_lp(args) -> int:
 def cmd_predict_lp(args) -> int:
     parsed = _parse_bundle(args)
     model, paths = models.load_model(args.model)
-    rows = _pair_rows(args)
+    rows = hio.load_examples(args.pairs)
     pairs = [(r.source, r.target) for r in rows]
     features = models.build_features(parsed.graph, pairs, list(paths))
     preds = models.predict(model, features)

@@ -71,19 +71,19 @@ class TypeHierarchy:
     arguments; ties break on the lexicographically smallest type id.
     """
 
-    def __init__(self, edges: Iterable[tuple[str, str]], root: str = ROOT_TYPE):
+    def __init__(self, edges: Iterable[tuple[str, str]]):
         parents: dict[str, set[str]] = {}
-        types: set[str] = {root}
+        types: set[str] = {ROOT_TYPE}
         for child, parent in edges:
             _check_identifier("type", child)
             _check_identifier("type", parent)
-            if child == root:
-                raise HierarchyError(f"root type {root!r} cannot have a parent ({parent!r})")
+            if child == ROOT_TYPE:
+                raise HierarchyError(f"root type {ROOT_TYPE!r} cannot have a parent ({parent!r})")
             types.add(child)
             types.add(parent)
             parents.setdefault(child, set()).add(parent)
 
-        self.root = root
+        self.root = ROOT_TYPE
         self._parents: dict[str, tuple[str, ...]] = {
             t: tuple(sorted(parents.get(t, ()))) for t in sorted(types)
         }
@@ -93,8 +93,8 @@ class TypeHierarchy:
             raise HierarchyError(f"cycle in hierarchy: {' -> '.join(exc.args[1])}") from None
 
         for t in sorted(types):
-            if t != root and not self._parents[t]:
-                raise HierarchyError(f"type {t!r} cannot reach root {root!r}: it has no parent")
+            if t != ROOT_TYPE and not self._parents[t]:
+                raise HierarchyError(f"type {t!r} cannot reach root {ROOT_TYPE!r}: it has no parent")
 
         self._ancestors: dict[str, frozenset[str]] = {}
         self._depth: dict[str, int] = {}
@@ -316,6 +316,15 @@ class HinGraph:
     def entity_types(self, entity: str) -> frozenset[str]:
         """Assigned types closed under ancestor expansion up to the root."""
         return self._closed[self.entity_index(entity)]
+
+    def lca_type(self, indices: Iterable[int]) -> str:
+        """The type of a meta-path position where the entities at ``indices``
+        were seen: the lowest common ancestor of their assigned types."""
+        # entities share one frozenset per distinct type set, so this set is small
+        type_sets = set(map(self._assigned.__getitem__, indices))
+        if not type_sets:
+            raise ValueError("cannot type a meta-path position without entities")
+        return self.hierarchy.lca_of_set(frozenset().union(*type_sets))
 
     def type_members(self, type_id: str) -> np.ndarray:
         """Sorted indices of entities whose closed type set contains ``type_id``."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import DirectedRelation
+from .graph import ROOT_TYPE, DirectedRelation
 
 _ARROW = re.compile(r"^-(.+?)(~?)->$")
 
@@ -50,9 +50,9 @@ class MetaPath:
         return format_metapath(self)
 
 
-def relations_only(relations: tuple[DirectedRelation, ...], wildcard: str = "Object") -> MetaPath:
+def relations_only(relations: tuple[DirectedRelation, ...]) -> MetaPath:
     """A meta-path with every node type left at the wildcard root type."""
-    return MetaPath((wildcard,) * (len(relations) + 1), tuple(relations))
+    return MetaPath((ROOT_TYPE,) * (len(relations) + 1), tuple(relations))
 
 
 def format_metapath(path: MetaPath) -> str:

@@ -173,8 +173,8 @@ def train_logistic(
         raise ValueError("features contain non-finite values")
     if not (np.all((y == 0) | (y == 1)) and 0 < y.sum() < len(y)):
         raise ValueError("training labels must include both classes (0 and 1)")
-    if l2_strength < 0:
-        raise ValueError(f"l2_strength must be >= 0, got {l2_strength}")
+    if not 0 <= l2_strength < math.inf:
+        raise ValueError(f"l2_strength must be finite and >= 0, got {l2_strength}")
 
     # one parameter vector: the weights, then the bias (unregularized) if fit
     A = np.column_stack([X, np.ones(len(X))]) if config.fit_bias else X
@@ -221,6 +221,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     y = np.asarray(labels)
     if np.isnan(s).any():
         raise ValueError("AUC scores must not be NaN")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("AUC labels must be 0 or 1")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .errors import UnknownEntityError
 from .graph import HinGraph
 from .metapath import MetaPath
-from .walks import DEFAULT_NNZ_BUDGET, block_counts, positions, type_block
+from .walks import DEFAULT_NNZ_BUDGET, block_counts, positions
 
 
 @dataclass
@@ -57,6 +57,8 @@ def build_index(
         weights = np.asarray(theta, dtype=float)
         if weights.shape != (len(metapaths),):
             raise ValueError(f"{len(metapaths)} meta-paths but theta of shape {weights.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"theta must be finite, got {weights.tolist()}")
 
     first = metapaths[0]
     for mp in metapaths[1:]:
@@ -69,9 +71,8 @@ def build_index(
                 f"target types {first.target_type!r} and {mp.target_type!r} are incompatible"
             )
 
-    rows, cols = type_block(
-        graph, [mp.source_type for mp in metapaths], [mp.target_type for mp in metapaths]
-    )
+    rows = np.unique(np.concatenate([graph.type_members(mp.source_type) for mp in metapaths]))
+    cols = np.unique(np.concatenate([graph.type_members(mp.target_type) for mp in metapaths]))
     # float64 halves: counts below 2**53 multiply and add exactly, so scaling
     # in place matches scaling an int64 copy without keeping one
     combined: sp.csr_array | None = None

@@ -10,6 +10,7 @@ labeled example pairs, mimicking link prediction over removed links.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ class SyntheticSpec:
                 )
             if rel.inverted:
                 raise ValueError("planted path must use forward relations only")
-        if not 0.0 <= self.noise_rate:
-            raise ValueError(f"noise_rate must be >= 0, got {self.noise_rate}")
+        if not 0.0 <= self.noise_rate < math.inf:
+            raise ValueError(f"noise_rate must be finite and >= 0, got {self.noise_rate}")
         if self.out_degree < 1 or self.n_pairs < 1 or self.noise_relation_count < 0:
             raise ValueError("out_degree and n_pairs must be >= 1, noise_relation_count >= 0")
         if self.planted.length > SearchConfig().max_depth:

@@ -17,8 +17,9 @@ bonus guarantees nodes that actually reach example targets are emitted before
 any further expansion, since ``base`` is a weighted mean of values at most 1.
 
 Search steps are constrained by relations only; node types are attached to an
-emitted sequence afterwards, as the lowest common ancestor of the entity
-types observed at each depth (:func:`fill_types`).
+emitted sequence afterwards: each position gets the lowest common ancestor of
+the assigned types of the entities its node reached
+(:meth:`HinGraph.lca_type`, the one home of this rule).
 
 The tree persists across emissions: an emitted node stays expandable, so
 later rounds can grow longer sequences through it instead of starting over.
@@ -179,22 +180,15 @@ def fill_types(
     """Assign each position the LCA of the types observed there.
 
     ``depth_entities[i]`` is the set of entities appearing in the emitted
-    node's root path at depth i; the position's type is the lowest common
-    ancestor of the union of their directly assigned types.
+    node's root path at depth i; the position's type is
+    :meth:`HinGraph.lca_type` of those entities.
     """
     if len(depth_entities) != len(relations) + 1:
         raise ValueError(
             f"expected {len(relations) + 1} entity sets for {len(relations)} relations, "
             f"got {len(depth_entities)}"
         )
-    node_types = []
-    for entities in depth_entities:
-        union: set[str] = set()
-        for e in entities:
-            union.update(graph.assigned_types(e))
-        if not union:
-            raise ValueError("empty entity set at a meta-path position")
-        node_types.append(graph.hierarchy.lca_of_set(union))
+    node_types = [graph.lca_type(map(graph.entity_index, es)) for es in depth_entities]
     return MetaPath(tuple(node_types), tuple(relations))
 
 
@@ -282,22 +276,17 @@ class SearchTree:
     def node_relations(self, node: TreeNode) -> tuple[DirectedRelation, ...]:
         return tuple(DirectedRelation(self.graph.relations[r], inv) for r, inv in node.relseq)
 
-    def node_trace(self, node: TreeNode) -> list[set[str]]:
-        """Entity sets observed at each depth along the node's root path."""
-        chain = []
-        cur = node
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.parent
-        chain.reverse()
-        name = self.graph.entity_name
-        return [set(map(name, np.unique(n.tuples.mass.indices).tolist())) for n in chain]
-
     def _emit(self, node: TreeNode) -> GeneratedPath:
         pair_mass = node.tuples.mass[self._pair_rows, self._pair_cols].tolist()
         scores = {pair: f for pair, f in zip(self.examples.pairs, pair_mass) if f}
+        # each position is typed from the entities its root-path node reached
+        node_types = []
+        cur = node
+        while cur is not None:
+            node_types.append(self.graph.lca_type(np.unique(cur.tuples.mass.indices).tolist()))
+            cur = cur.parent
         relations = self.node_relations(node)
-        typed = fill_types(relations, self.node_trace(node), self.graph)
+        typed = MetaPath(tuple(reversed(node_types)), relations)
         return GeneratedPath(metapath=typed, relations=relations, scores=scores)
 
     def next_path(self) -> GeneratedPath | None:

@@ -210,16 +210,6 @@ class CommutingMatrix:
             yield self.row_entities[coo.row[k]], self.col_entities[coo.col[k]], int(coo.data[k])
 
 
-def type_block(
-    graph: HinGraph, row_types: Iterable[str], col_types: Iterable[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted indices of the members of any of ``row_types`` and of the
-    members of any of ``col_types``: the rows and columns of a block."""
-    rows = np.unique(np.concatenate([graph.type_members(t) for t in row_types]))
-    cols = np.unique(np.concatenate([graph.type_members(t) for t in col_types]))
-    return rows, cols
-
-
 def block_counts(
     graph: HinGraph,
     metapath: MetaPath,
@@ -229,7 +219,8 @@ def block_counts(
     dtype: type = np.int64,
 ) -> sp.csr_array:
     """Path-instance counts from the ``rows`` entities to the ``cols`` entities
-    (sorted, distinct entity indices, as :func:`type_block` returns them).
+    (sorted, distinct entity indices, as :meth:`HinGraph.type_members`
+    returns them).
 
     Two half-path products grow from the outside in: the first step is cut to
     the rows and the left half multiplied left to right, the last step is cut
@@ -271,7 +262,8 @@ def commuting_matrix(
     graph: HinGraph, metapath: MetaPath, nnz_budget: int = DEFAULT_NNZ_BUDGET
 ) -> CommutingMatrix:
     """Matrix of path-instance counts; rows/cols are start/end type members."""
-    rows, cols = type_block(graph, [metapath.source_type], [metapath.target_type])
+    rows = graph.type_members(metapath.source_type)
+    cols = graph.type_members(metapath.target_type)
     names = graph.entities
     return CommutingMatrix(
         metapath=metapath,
@@ -331,9 +323,6 @@ def enumerate_metapaths(
 
     found.sort(key=lambda seq: (len(seq), seq))
     return [
-        relations_only(
-            tuple(DirectedRelation(graph.relations[r], inv) for r, inv in seq),
-            wildcard=graph.hierarchy.root,
-        )
+        relations_only(tuple(DirectedRelation(graph.relations[r], inv) for r, inv in seq))
         for seq in found
     ]

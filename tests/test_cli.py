@@ -246,3 +246,51 @@ def test_budget_exit_code(workdir):
          "--node-budget", "2", "--max-paths", "5"]
     )
     assert code == 4
+
+
+def test_nan_l2_is_precondition(workdir, capsys):
+    paths_file = workdir / "paths.txt"
+    paths_file.write_text("Venue -publishIn~-> Paper -publishIn-> Venue\n")
+    labeled = workdir / "labeled.tsv"
+    labeled.write_text("v1\tv2\t1.0\t1\nv2\tv3\t1.0\t0\n")
+    code = main(
+        ["train-lp", *bundle_args(workdir), "--examples", str(labeled), "--paths",
+         str(paths_file), "--l2", "nan", "--model-out", str(workdir / "model.tsv")]
+    )
+    assert code == 3
+    assert "l2_strength must be finite" in capsys.readouterr().err
+    assert not (workdir / "model.tsv").exists()
+
+
+def test_nan_theta_is_precondition(workdir, capsys):
+    paths_file = workdir / "paths.txt"
+    paths_file.write_text("Venue -publishIn~-> Paper -publishIn-> Venue\n" * 3)
+    code = main(
+        ["simsearch", *bundle_args(workdir), "--paths", str(paths_file),
+         "--query", "v1", "--theta", "nan,nan,nan"]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "theta must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_infinite_noise_rate_is_precondition(tmp_path, capsys):
+    code = main(
+        ["synth", "--out-dir", str(tmp_path / "synth"), "--type-counts", "A=30,B=30",
+         "--planted", "A -r_ab-> B", "--noise-rate", "inf"]
+    )
+    assert code == 3
+    assert "noise_rate must be finite" in capsys.readouterr().err
+
+
+def test_label_other_than_zero_and_one_is_precondition(tmp_path, capsys):
+    report = tmp_path / "pred.jsonl"
+    report.write_text(
+        '{"report": "predict-lp", "version": 1}\n'
+        '{"probability": 0.3, "label": 0}\n'
+        '{"probability": 0.2, "label": 1}\n'
+        '{"probability": 0.1, "label": 2}\n'
+    )
+    assert main(["eval-auc", "--predictions", str(report)]) == 3
+    assert "0 or 1" in capsys.readouterr().err

@@ -280,6 +280,19 @@ class TestLca:
         with pytest.raises(ValueError):
             hierarchy.lca_of_set(set())
 
+    def test_lca_type_reads_assigned_types(self, g1):
+        graph, _ = g1
+        idx = graph.entity_index
+        # g is assigned Organization and Company; its closed types add Object
+        assert graph.lca_type([idx("g")]) == "Organization"
+        assert graph.lca_type([idx("p1"), idx("p2"), idx("p1")]) == "Person"
+        assert graph.lca_type([idx("p1"), idx("g")]) == "Object"
+
+    def test_lca_type_of_no_entities_rejected(self, g1):
+        graph, _ = g1
+        with pytest.raises(ValueError):
+            graph.lca_type([])
+
     def test_lca_of_set_is_fold_of_oracle(self):
         for seed in range(20):
             _, hierarchy = random_typed_graph(seed)

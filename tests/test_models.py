@@ -156,6 +156,11 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match="finite"):
             train_logistic(np.array([[np.inf], [0.0]]), [1, 0])
 
+    @pytest.mark.parametrize("l2", [math.nan, math.inf])
+    def test_non_finite_l2_rejected(self, l2):
+        with pytest.raises(ValueError, match="l2_strength must be finite"):
+            train_logistic(np.array([[1.0], [0.0]]), [1, 0], l2_strength=l2)
+
     def test_zero_width_features(self):
         model = train_logistic(np.zeros((4, 0)), [1, 0, 1, 0])
         assert predict(model, np.zeros((2, 0))).tolist() == [0.5, 0.5]
@@ -241,6 +246,11 @@ class TestAuc:
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             auc([math.nan, math.nan, 0.5, 0.2], [1, 0, 1, 0])
+
+    def test_labels_other_than_zero_and_one_rejected(self):
+        # ranks over all rows would read 1.0; the one 0/1 pair reads 0.0
+        with pytest.raises(ValueError, match="0 or 1"):
+            auc([0.3, 0.2, 0.1], [0, 1, 2])
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_pairwise_oracle(self, seed):

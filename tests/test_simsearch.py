@@ -75,6 +75,12 @@ class TestBuildIndex:
             build_index(graph, [p_star], [1.0, 2.0])
 
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_rejected(self, g2, p_star, theta):
+        graph, _ = g2
+        with pytest.raises(ValueError, match="finite"):
+            build_index(graph, [p_star, p_star], [1.0, theta])
+
 class TestTopK:
     def test_g2_query_v1(self, g2, p_star):
         graph, _ = g2

@@ -78,6 +78,15 @@ class TestGenerateSynthetic:
                 planted=parse_metapath("A -noise0-> B"),
             )
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -0.5])
+    def test_bad_noise_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="noise_rate"):
+            SyntheticSpec(
+                entity_counts={"A": 10, "B": 10},
+                planted=parse_metapath("A -r_ab-> B"),
+                noise_rate=rate,
+            )
+
     def test_long_planted_path_warns(self):
         counts = {t: 4 for t in "ABCDEFGH"}
         long_path = parse_metapath(

@@ -410,3 +410,29 @@ class TestFillTypes:
         graph, _ = g1
         with pytest.raises(ValueError):
             fill_types((DirectedRelation("found"),), [{"p1"}], graph)
+
+
+class TestPositionTyping:
+    def test_emitted_types_match_name_level_reference(self):
+        """Each position's type is the LCA of the assigned types of the
+        targets its node's walk tuples reach, recomputed here from names."""
+        graphs = below_root = 0
+        for seed in range(40):
+            graph, hierarchy = random_typed_graph(seed)
+            examples = ExamplePairSet(random_example_pairs(graph, seed + 5, n=3))
+            result = generate_paths(graph, examples, SearchConfig(max_depth=3, max_paths=5))
+            tree = result.tree
+            graphs += bool(result.paths)
+            for emitted in result.paths:
+                chain = [tree.root]
+                for rel in emitted.relations:
+                    chain.append(chain[-1].children[graph.relation_index(rel.name), rel.inverted])
+                expected = tuple(
+                    hierarchy.lca_of_set(
+                        set().union(*(graph.assigned_types(t) for _, t in tree.node_tuples(node)))
+                    )
+                    for node in chain
+                )
+                assert emitted.metapath.node_types == expected
+                below_root += sum(t != "Object" for t in expected)
+        assert graphs >= 30 and below_root >= 100
