@@ -50,6 +50,8 @@ class DirectedRelation:
 # the entity ids _check_identifier accepts: regex \s and str.isspace read
 # the same Unicode whitespace table
 _ENTITY_ID = re.compile(r"(?:(?!->)\S)+")
+# a character or pair no entity id holds, other than a newline
+_NOT_ENTITY_ID = re.compile(r"[^\S\n]|->")
 
 
 def _check_identifier(kind: str, name: str) -> None:
@@ -386,9 +388,14 @@ def build_graph(
 
     entity_names = set(_column(triples, 0))
     entity_names.update(_column(triples, 2), _column(assignments, 0))
-    bad = min(filterfalse(_ENTITY_ID.fullmatch, entity_names), default=None)
-    if bad is not None:
-        _check_identifier("entity", bad)
+    # one search over all names, its text dropped before the build's memory
+    # peaks at the end; the per-name check only runs to name the smallest bad id
+    joined = "\n".join(entity_names)
+    if "" in entity_names or joined.count("\n") >= len(entity_names) or _NOT_ENTITY_ID.search(joined):
+        bad = min(filterfalse(_ENTITY_ID.fullmatch, entity_names), default=None)
+        if bad is not None:
+            _check_identifier("entity", bad)
+    del joined
     relations = sorted(set(_column(triples, 1)))
     for name in relations:
         _check_identifier("relation", name)

@@ -219,6 +219,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
+    if s.ndim != 1 or s.shape != y.shape:
+        raise ValueError(f"AUC needs one label per score, got shapes {s.shape} and {y.shape}")
     if np.isnan(s).any():
         raise ValueError("AUC scores must not be NaN")
     if not np.all((y == 0) | (y == 1)):

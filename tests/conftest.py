@@ -1,8 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from hinwalk import build_graph, parse_metapath
+
+# the same examples on every run, selected in CI with --hypothesis-profile=ci,
+# so that a CI failure replays locally with the same flag
+settings.register_profile("ci", derandomize=True)
 
 DATA_DIR = Path(__file__).parent / "data"
 

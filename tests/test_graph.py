@@ -17,7 +17,7 @@ from hinwalk import (
     commuting_matrix,
     parse_metapath,
 )
-from hinwalk.graph import _ENTITY_ID
+from hinwalk.graph import _ENTITY_ID, _NOT_ENTITY_ID
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -135,6 +135,8 @@ class TestBuildGraph:
             ("a b", "entity id 'a b' must not contain whitespace"),
             ("a\u00a0b", r"entity id 'a\xa0b' must not contain whitespace"),
             ("a\u2028b", r"entity id 'a\u2028b' must not contain whitespace"),
+            ("a\nb", r"entity id 'a\nb' must not contain whitespace"),
+            ("\n", r"entity id '\n' must not contain whitespace"),
             ("a->b", "entity id 'a->b' must not contain '->'"),
         ],
     )
@@ -153,6 +155,12 @@ class TestBuildGraph:
         assert set(re.findall(r"\s", chars)) == spaces
         assert not any(_ENTITY_ID.fullmatch(f"a{c}b") for c in spaces)
         assert _ENTITY_ID.fullmatch("a-b>c~")
+        assert all(_NOT_ENTITY_ID.search(f"a{c}b") for c in spaces - {"\n"})
+
+    def test_names_are_checked_apart(self):
+        # "a-" and ">b" are joined by a newline for the check, never into "->"
+        graph, _ = build_graph([("a-", "r", ">b")], [("c-", "Object"), (">d", "Object")], [])
+        assert graph.entities == (">b", ">d", "a-", "c-")
 
     def test_first_bad_entity_id_in_name_order_reported(self):
         with pytest.raises(ValueError, match="'b c'"):

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hinwalk import DirectedRelation, ParseError
+from hinwalk import io as hio
 from hinwalk.io import (
     DatasetBundle,
     ExampleRow,
@@ -85,6 +90,11 @@ class TestNameRows:
             ("\ta\tr\n", 1),
             ("a\tr\tb\r\nb\tr\r\n", 2),
             ("# comment\n\na\tr\tb\n\n# more\na\tr\tb\tc\n", 6),
+            # tab counts that balance out over the block
+            ("a\tb\tc\td\ne\tf\n", 1),
+            # a space inside a name next to an empty field: the count of
+            # whitespace-split fields still matches
+            ("a b\t\tc\n", 1),
         ],
     )
     def test_malformed_edge_line_is_parse_error(self, tmp_path, text, lineno):
@@ -102,6 +112,7 @@ class TestNameRows:
             ("a\tT\n\tT\n", 2),
             ("a\tT\r\nb\tT\tU\r\n", 2),
             ("# comment\n\na\tT\n\nb\t\n", 5),
+            ("a\tb\tc\nd\n", 1),
         ],
     )
     def test_malformed_type_line_is_parse_error(self, tmp_path, text, lineno):
@@ -115,6 +126,99 @@ class TestNameRows:
         path = tmp_path / "edges.tsv"
         path.write_bytes(b"a\tr\tb\r\n\r\nb\tr\ta\r\n")
         assert load_edges(path) == [("a", "r", "b"), ("b", "r", "a")]
+
+    def test_error_in_a_later_block_names_its_absolute_line(self, tmp_path):
+        row = "e00000\tr\te00001\n"
+        bad = 2 * hio._BLOCK_CHARS // len(row) + 100  # in the third block
+        lines = [row] * (bad - 1) + ["e00000\tr\n"] + [row] * 10
+        lines[5] = "# a comment sends the first block through the per-line parse\n"
+        path = tmp_path / "edges.tsv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert (err.value.lineno, err.value.text) == (bad, "e00000\tr")
+        assert err.value.reason == "expected 3 tab-separated fields, got 2"
+
+
+def _reference_table(path, width):
+    """The loaders' contract, one line at a time."""
+    share = {}.setdefault
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != width:
+                reason = f"expected {width} tab-separated fields, got {len(parts)}"
+                raise ParseError(path, lineno, line, reason)
+            if "" in parts:
+                raise ParseError(path, lineno, line, "empty field")
+            rows.append(tuple(map(share, parts, parts)))
+    return rows
+
+
+def _outcome(read, path, width):
+    try:
+        rows = read(path, width)
+    except ParseError as err:
+        return "error", err.lineno, err.text, err.reason
+    names = [name for row in rows for name in row]
+    return "rows", rows, len({id(name) for name in names}) == len(set(names))
+
+
+@st.composite
+def _table_files(draw):
+    """A file of rows of ``width`` names, some of them longer than a small
+    block, with a few lines edited into comments, blank lines, lines with an
+    empty field, lines with a tab more or less (also a tab moved to the end
+    of the next line, so that tab counts balance out), or lines with a
+    space, a no-break space, a line or next-line separator, '#' or a
+    non-ASCII letter. Lines end in LF, CRLF or CR, the last maybe in
+    nothing."""
+    width = draw(st.sampled_from([2, 3]))
+    name = st.one_of(*[st.text("ab", min_size=1, max_size=3)] * 3, st.text("ab", min_size=20, max_size=40))
+    lines = draw(st.lists(st.lists(name, min_size=width, max_size=width).map("\t".join), max_size=30))
+    edits = st.tuples(
+        st.sampled_from(["comment", "blank", "empty", "tab", "untab", "move", *"# \u00a0\u2028\u0085é名"]),
+        st.integers(0, 29),
+        st.integers(0, 50),
+    )
+    for edit, i, at in draw(st.lists(edits, max_size=3)) if lines else ():
+        i %= len(lines)
+        line = lines[i]
+        if edit == "comment":
+            lines[i] = "#" + line
+        elif edit == "blank":
+            lines.insert(i, "")
+        elif edit in ("untab", "move"):
+            lines[i] = line.replace("\t", "", 1)
+            if edit == "move":
+                lines[(i + 1) % len(lines)] += "\tab"
+        elif edit == "empty":
+            fields = line.split("\t")
+            fields[at % len(fields)] = ""
+            lines[i] = "\t".join(fields)
+        else:
+            at %= len(line) + 1
+            lines[i] = line[:at] + ("\t" if edit == "tab" else edit) + line[at:]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final newline
+    return width, text
+
+
+class TestTable:
+    @given(case=_table_files(), block=st.sampled_from([1, 16, 64, 16384]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_per_line_reference(self, tmp_path, case, block):
+        width, text = case
+        path = tmp_path / "table.tsv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(hio, "_BLOCK_CHARS", block):
+            assert _outcome(hio._table, path, width) == _outcome(_reference_table, path, width)
 
 
 class TestExamples:

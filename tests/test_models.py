@@ -243,6 +243,11 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("scores, labels", [([0.1, 0.2, 0.3], [0, 1]), ([0.1, 0.2], [0, 1, 1])])
+    def test_length_mismatch_rejected(self, scores, labels):
+        with pytest.raises(ValueError, match="one label per score"):
+            auc(scores, labels)
+
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             auc([math.nan, math.nan, 0.5, 0.2], [1, 0, 1, 0])
