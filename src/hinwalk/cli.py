@@ -25,6 +25,31 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 
+def _list_of(convert, what: str):
+    """An argparse ``type`` for comma-separated values: a malformed list is
+    an argument parse error (exit 2) with the usage message."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(x) for x in text.split(",") if x]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+    return parse
+
+
+def _type_counts(text: str) -> dict[str, int]:
+    """argparse ``type`` of ``--type-counts``: TYPE=COUNT entries, comma-separated."""
+    counts = {}
+    for part in text.split(","):
+        name, _, num = part.partition("=")
+        try:
+            counts[name.strip()] = int(num)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad entry {part!r}, expected TYPE=COUNT") from None
+    return counts
+
+
 def _add_bundle_args(p: argparse.ArgumentParser, need_examples: bool = False) -> None:
     p.add_argument("--edges", required=True, help="edges TSV: source, relation, target")
     p.add_argument("--types", help="type assignments TSV: entity, type")
@@ -207,10 +232,7 @@ def cmd_simsearch(args) -> int:
         paths = _load_paths_file(args.paths)
     else:
         paths = _generated_index_paths(args, parsed)
-    theta = None
-    if args.theta:
-        theta = [float(x) for x in args.theta.split(",")]
-    index = simsearch.build_index(parsed.graph, paths, theta)
+    index = simsearch.build_index(parsed.graph, paths, args.theta or None)  # uniform when empty
     ranked = simsearch.top_k(index, args.query, args.k)
     for rank, (entity, score) in enumerate(ranked, start=1):
         print(f"{rank}\t{entity}\t{format(score, '.12g')}")
@@ -228,14 +250,8 @@ def cmd_simsearch(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    counts = {}
-    for part in args.type_counts.split(","):
-        name, _, num = part.partition("=")
-        if not num:
-            raise ValueError(f"bad --type-counts entry {part!r}, expected TYPE=COUNT")
-        counts[name.strip()] = int(num)
     spec = synth.SyntheticSpec(
-        entity_counts=counts,
+        entity_counts=args.type_counts,
         planted=parse_metapath(args.planted),
         noise_rate=args.noise_rate,
         seed=args.seed,
@@ -263,8 +279,8 @@ def cmd_bench(args) -> int:
         raise ValueError("benchmark needs positive example pairs")
     pairs = [(r.source, r.target) for r in rows]
     config = bench_mod.BenchConfig(
-        lengths=tuple(int(x) for x in args.lengths.split(",") if x),
-        example_sizes=tuple(int(x) for x in args.sizes.split(",") if x),
+        lengths=tuple(args.lengths),
+        example_sizes=tuple(args.sizes),
         repeats=args.repeats,
         timeout_s=args.timeout,
         search=_search_config(args),
@@ -329,13 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_args(p)
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--theta", help="comma-separated weights, uniform when omitted")
+    p.add_argument(
+        "--theta", type=_list_of(float, "numbers"), help="comma-separated weights, uniform when omitted"
+    )
     p.add_argument("--output", help="write a JSONL report")
     p.set_defaults(func=cmd_simsearch)
 
     p = sub.add_parser("synth", help="generate a seeded planted-rule bundle")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--type-counts", required=True, help="e.g. A=2000,B=2000,C=2000")
+    p.add_argument(
+        "--type-counts", type=_type_counts, required=True, help="e.g. A=2000,B=2000,C=2000"
+    )
     p.add_argument("--planted", required=True, help="typed meta-path, e.g. 'A -r1-> B -r2-> C'")
     p.add_argument("--noise-rate", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=42)
@@ -349,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time tree search vs fixed-length enumeration")
     _add_bundle_args(p, need_examples=True)
     _add_search_args(p)
-    p.add_argument("--lengths", default="1,2,3,4")
-    p.add_argument("--sizes", default="10,50,100")
+    p.add_argument("--lengths", type=_list_of(int, "integers"), default="1,2,3,4")
+    p.add_argument("--sizes", type=_list_of(int, "integers"), default="10,50,100")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--output", help="write a JSONL report (plot-ready)")

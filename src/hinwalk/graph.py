@@ -2,21 +2,23 @@
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
-string order). Each relation direction is stored once, as the boolean
-compressed sparse row (CSR) matrix of its untyped step
-(:class:`StepMatrix`, row and column type both the root): row ``e`` holds
-entity ``e``'s neighbours, sorted, one ``True`` per distinct edge. Neighbour
-queries read these matrices, and the type-filtered steps the walk code
-multiplies (:meth:`HinGraph.step_matrix`) are cut from them.
+string order), and the graph holds its own copies of them. Each relation
+direction is stored once, as the boolean compressed sparse row (CSR) matrix
+of its untyped step (:class:`StepMatrix`, row and column type both the
+root): row ``e`` holds entity ``e``'s neighbours, sorted, one ``True`` per
+distinct edge. Neighbour queries read these matrices, and the type-filtered
+steps the walk code multiplies (:meth:`HinGraph.step_matrix`) are cut from
+them.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import filterfalse
+from itertools import chain, count, filterfalse
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -47,11 +49,9 @@ class DirectedRelation:
         return self.name + ("~" if self.inverted else "")
 
 
-# the entity ids _check_identifier accepts: regex \s and str.isspace read
-# the same Unicode whitespace table
-_ENTITY_ID = re.compile(r"(?:(?!->)\S)+")
-# a character or pair no entity id holds, other than a newline
-_NOT_ENTITY_ID = re.compile(r"[^\S\n]|->")
+# the ids _check_identifier accepts, but for its relation rule: regex \s,
+# str.isspace and str.split read the same Unicode whitespace table
+_ID = re.compile(r"(?:(?!->)\S)+")
 
 
 def _check_identifier(kind: str, name: str) -> None:
@@ -65,9 +65,27 @@ def _check_identifier(kind: str, name: str) -> None:
         raise ValueError(f"relation id {name!r} must not end with '~'")
 
 
+def _copies(kind: str, names: list[str]) -> list[str]:
+    """New string objects equal to the sorted ``names``, cut from one joined
+    text, so that the graph keeps no string of its caller's rows: a kept
+    string keeps alive the whole memory arena it shares with them.
+    (One-character Latin-1 names are interpreter singletons either way.)
+    Raises ``ValueError`` for the smallest name that is not a valid id.
+
+    The text cuts back into the names exactly when every name is non-empty
+    and has no whitespace: ``split()`` then finds one piece per name and
+    drops only the newline after each."""
+    text = "\n".join([*names, ""])  # a trailing newline: a new text even for one name
+    copies = text.split()
+    if len(copies) != len(names) or len(text) != len(names) + sum(map(len, copies)) or "->" in text:
+        _check_identifier(kind, next(filterfalse(_ID.fullmatch, names)))
+    return copies
+
+
 class TypeHierarchy:
     """DAG of entity types rooted at ``Object``.
 
+    It keeps its own copy of every type name, not the caller's strings.
     Depth of a type is the longest parent chain down from the root, so the
     lowest common ancestor is the deepest type that is an ancestor of both
     arguments; ties break on the lexicographically smallest type id.
@@ -85,16 +103,18 @@ class TypeHierarchy:
             types.add(parent)
             parents.setdefault(child, set()).add(parent)
 
-        self.root = ROOT_TYPE
+        names = sorted(types)
+        own = dict(zip(names, _copies("type", names)))
+        self.root = own[ROOT_TYPE]
         self._parents: dict[str, tuple[str, ...]] = {
-            t: tuple(sorted(parents.get(t, ()))) for t in sorted(types)
+            own[t]: tuple(sorted(map(own.__getitem__, parents.get(t, ())))) for t in names
         }
         try:
             order = list(TopologicalSorter(self._parents).static_order())  # parents first
         except CycleError as exc:
             raise HierarchyError(f"cycle in hierarchy: {' -> '.join(exc.args[1])}") from None
 
-        for t in sorted(types):
+        for t in self._parents:
             if t != ROOT_TYPE and not self._parents[t]:
                 raise HierarchyError(f"type {t!r} cannot reach root {ROOT_TYPE!r}: it has no parent")
 
@@ -362,6 +382,47 @@ def _runs(codes: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, int]]]
     return np.argsort(codes, kind="stable"), list(zip([0] + ends[:-1], ends))
 
 
+def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
+    """The distinct names of a column of ``size`` fields, sorted, and each
+    field's index among them.
+
+    One dict pass gives each field the position where its name was first
+    seen, and numpy maps those positions to sorted order. A file written in
+    sorted order is nearly sorted in first-seen order too, which the sort
+    is quick on."""
+    seen: dict[str, int] = {}  # name -> position where it was first seen
+    at = np.fromiter(map(seen.setdefault, column, count()), INDEX_DTYPE, size)
+    first = list(seen)
+    order = sorted(range(len(first)), key=first.__getitem__)
+    index_at = np.empty(size, INDEX_DTYPE)  # read only at first-seen positions
+    index_at[np.fromiter(seen.values(), INDEX_DTYPE, len(first))[order]] = np.arange(len(first))
+    return list(map(first.__getitem__, order)), index_at[at]
+
+
+def _assigned_types(
+    assignments: Sequence[tuple[str, str]], names: list[str], hierarchy: TypeHierarchy
+) -> list[frozenset[str]]:
+    """The assigned type set of each of the sorted entity ``names``, one
+    frozenset object per distinct set, over the hierarchy's own strings.
+    Each typed entity gets the type of its last row, and the types of its
+    other rows if it has more; an untyped entity gets the root."""
+    own = dict(zip(hierarchy.types, hierarchy.types))
+    last = dict(zip(_column(assignments, 0), _column(assignments, 1)))
+    single = {t: frozenset((own[t],)) for t in set(last.values()) | {hierarchy.root}}
+    single[None] = single[hierarchy.root]
+    assigned = list(map(single.__getitem__, map(last.get, names)))
+    if len(last) < len(assignments):  # some entity has more than one row
+        more: dict[str, set[str]] = {}
+        pairs = set(zip(_column(assignments, 0), _column(assignments, 1)))
+        for entity, type_id in pairs.difference(last.items()):
+            more.setdefault(entity, {last[entity]}).add(type_id)
+        shared: dict[frozenset[str], frozenset[str]] = {}
+        for entity, types in more.items():
+            types = frozenset(map(own.__getitem__, types))
+            assigned[bisect_left(names, entity)] = shared.setdefault(types, types)
+    return assigned
+
+
 def build_graph(
     triples: Iterable[tuple[str, str, str]],
     type_assignments: Iterable[tuple[str, str]] = (),
@@ -373,63 +434,45 @@ def build_graph(
     both directions. Entities without a type assignment get ``{Object}``.
     Rejects hierarchies with cycles and type assignments that reference types
     absent from the hierarchy.
+
+    Every name the graph and hierarchy keep is a new string made here (see
+    :func:`_copies`), so dropping the caller's rows frees their memory.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
     triples = _rows(triples, 3)
     assignments = _rows(type_assignments, 2)
 
-    type_ids = set(_column(assignments, 1))
-    unknown = type_ids.difference(hierarchy.types)
+    unknown = set(_column(assignments, 1)).difference(hierarchy.types)
     if unknown:
         entity, type_id = next(row for row in assignments if row[1] in unknown)
         raise UnknownTypeError(
             f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
         )
 
-    entity_names = set(_column(triples, 0))
-    entity_names.update(_column(triples, 2), _column(assignments, 0))
-    # one search over all names, its text dropped before the build's memory
-    # peaks at the end; the per-name check only runs to name the smallest bad id
-    joined = "\n".join(entity_names)
-    if "" in entity_names or joined.count("\n") >= len(entity_names) or _NOT_ENTITY_ID.search(joined):
-        bad = min(filterfalse(_ENTITY_ID.fullmatch, entity_names), default=None)
-        if bad is not None:
-            _check_identifier("entity", bad)
-    del joined
-    relations = sorted(set(_column(triples, 1)))
-    for name in relations:
-        _check_identifier("relation", name)
-
-    n = len(entity_names)
-    eindex = dict(zip(sorted(entity_names), range(n)))
-    rindex = dict(zip(relations, range(len(relations))))
-    src, rel, dst = (
-        np.fromiter(map(index.__getitem__, _column(triples, i)), INDEX_DTYPE, len(triples))
-        for i, index in enumerate((eindex, rindex, eindex))
+    # entity codes of sources, then targets, then typed entities; the last
+    # are read only to name entities that have no edge
+    m = len(triples)
+    names, codes = _codes(
+        chain(_column(triples, 0), _column(triples, 2), _column(assignments, 0)),
+        2 * m + len(assignments),
     )
+    entities = _copies("entity", names)
+    n = len(entities)
+    eindex = dict(zip(entities, range(n)))
+    relation_names, rel = _codes(_column(triples, 1), m)
+    for name in relation_names:
+        _check_identifier("relation", name)
+    relations = _copies("relation", relation_names)
+    assigned_types = _assigned_types(assignments, names, hierarchy)
+
     # edges grouped by relation with one sort, not one full-length mask per
     # relation
+    src, dst = codes[:m], codes[m : 2 * m]
     order, runs = _runs(rel, len(relations))
     adjacency = []
     for a, b in runs:
         s, t = src[order[a:b]], dst[order[a:b]]
         adjacency.append((_edges(s, t, n), _edges(t, s, n)))
-
-    # one frozenset object per distinct type set: each typed entity gets the
-    # type of its last row, and the types of its other rows if it has more
-    last = dict(zip(_column(assignments, 0), _column(assignments, 1)))
-    single = {t: frozenset((t,)) for t in type_ids | {hierarchy.root}}
-    single[None] = single[hierarchy.root]
-    assigned_types = list(map(single.__getitem__, map(last.get, eindex)))
-    if len(last) < len(assignments):  # some entity has more than one row
-        more: dict[str, set[str]] = {}
-        pairs = set(zip(_column(assignments, 0), _column(assignments, 1)))
-        for entity, type_id in pairs.difference(last.items()):
-            more.setdefault(entity, {last[entity]}).add(type_id)
-        shared: dict[frozenset[str], frozenset[str]] = {}
-        for entity, types in more.items():
-            types = frozenset(types)
-            assigned_types[eindex[entity]] = shared.setdefault(types, types)
 
     graph = HinGraph(eindex, relations, adjacency, assigned_types, hierarchy)
     return graph, hierarchy

@@ -24,6 +24,7 @@ from .walks import walk_mass
 
 MODEL_FORMAT = "hinwalk-model"
 MODEL_VERSION = 1
+_MODEL_FIELDS = ("l2", "fit_bias", "bias")  # each given once, besides the path lines
 
 
 @dataclass(frozen=True)
@@ -270,6 +271,13 @@ def load_model(path: str | Path) -> tuple[LogisticModel, tuple[MetaPath, ...]]:
         expected = 3 if parts[0] == "path" else 2
         if len(parts) != expected:
             raise ParseError(path, lineno, line, f"expected {expected} tab-separated fields, got {len(parts)}")
+        if parts[0] != "path":
+            if parts[0] not in _MODEL_FIELDS:
+                raise ParseError(path, lineno, line, f"unknown model field {parts[0]!r}")
+            if parts[0] in fields:
+                raise ParseError(path, lineno, line, f"repeated model field {parts[0]!r}")
+            if parts[0] == "fit_bias" and parts[1] not in ("0", "1"):
+                raise ParseError(path, lineno, line, f"fit_bias must be 0 or 1, got {parts[1]!r}")
         try:
             value = float(parts[1])
         except ValueError:

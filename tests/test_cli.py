@@ -193,6 +193,9 @@ def test_nonfinite_example_weight_is_precondition(workdir, capsys, weight):
         "path\tnan\tVenue -publishIn~-> Paper",
         "bias\t0.0\textra",
         "bias\tabc",
+        "fit_bias\t0.5",
+        "l2\t0.5",
+        "foo\t3",
     ],
 )
 def test_malformed_model_line_is_parse_error(workdir, capsys, line):
@@ -273,6 +276,28 @@ def test_nan_theta_is_precondition(workdir, capsys):
     captured = capsys.readouterr()
     assert "theta must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out-dir", "out", "--planted", "A -r-> B", "--type-counts", "A=abc"],
+        ["synth", "--out-dir", "out", "--planted", "A -r-> B", "--type-counts", "A=5,B"],
+        ["bench", "--edges", "e.tsv", "--examples", "x.tsv", "--lengths", "1,x"],
+        ["bench", "--edges", "e.tsv", "--examples", "x.tsv", "--sizes", "10,5.5"],
+        ["simsearch", "--edges", "e.tsv", "--query", "v1", "--theta", "a,b"],
+    ],
+    ids=["type-counts-value", "type-counts-entry", "lengths", "sizes", "theta"],
+)
+def test_malformed_list_option_is_argument_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hinwalk")
+    assert f"argument {argv[-2]}: " in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_noise_rate_is_precondition(tmp_path, capsys):

@@ -17,7 +17,8 @@ from hinwalk import (
     commuting_matrix,
     parse_metapath,
 )
-from hinwalk.graph import _ENTITY_ID, _NOT_ENTITY_ID
+from hinwalk import io as hio
+from hinwalk.graph import _ID, _check_identifier, _codes, _copies
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -31,6 +32,20 @@ def lca_oracle(hierarchy, a, b):
     common = hierarchy.ancestors(a) & hierarchy.ancestors(b)
     best = sorted(common, key=lambda t: (-hierarchy.depth(t), t))
     return best[0]
+
+
+def _state(graph, hierarchy):
+    """Everything a built graph holds, as comparable values."""
+    root = hierarchy.root
+    arrays = [
+        (a.dtype.str, a.tobytes())
+        for d in graph.directions
+        for m in [graph.step_matrix(*d, root, root).edges]
+        for a in (m.indptr, m.indices, m.data)
+    ]
+    members = {t: (a.dtype.str, a.tolist()) for t in hierarchy.types for a in [graph.type_members(t)]}
+    types = [(graph.assigned_types(e), graph.entity_types(e)) for e in graph.entities]
+    return graph.entities, graph.relations, hierarchy.types, types, members, arrays
 
 
 class TestBuildGraph:
@@ -128,6 +143,27 @@ class TestBuildGraph:
         assert graph.type_members("U").tolist() == [0, 1, 3]
         assert graph.type_members("Object").tolist() == [0, 1, 2, 3]
 
+    def test_graph_keeps_no_string_of_the_rows(self, tmp_path):
+        # names of two or more characters: one-character Latin-1 strings are
+        # interpreter singletons, shared by every string operation
+        (tmp_path / "edges.tsv").write_text("aa\tr1\tbb\nbb\tr2\tcc\ncc\tr1\taa\n")
+        (tmp_path / "types.tsv").write_text("aa\tTT\naa\tUU\nbb\tUU\ncc\tTT\n")
+        (tmp_path / "hierarchy.tsv").write_text("TT\tObject\nUU\tObject\nVV\tTT\n")
+        rows = [
+            hio.load_edges(tmp_path / "edges.tsv"),
+            hio.load_types(tmp_path / "types.tsv"),
+            hio.load_hierarchy(tmp_path / "hierarchy.tsv"),
+        ]
+        graph, hierarchy = build_graph(*rows)
+        assert graph.assigned_types("aa") == frozenset({"TT", "UU"})
+        kept = [*graph.entities, *graph.relations, hierarchy.root, *hierarchy.types]
+        for t in hierarchy.types:
+            kept += [*hierarchy.parents(t), *hierarchy.ancestors(t)]
+        for e in graph.entities:
+            kept += [*graph.assigned_types(e), *graph.entity_types(e)]
+        row_strings = {id(name) for table in rows for row in table for name in row}
+        assert not row_strings.intersection(map(id, kept))
+
     @pytest.mark.parametrize(
         "name, message",
         [
@@ -153,9 +189,10 @@ class TestBuildGraph:
         chars = "".join(map(chr, range(sys.maxunicode + 1)))
         spaces = set(filter(str.isspace, chars))
         assert set(re.findall(r"\s", chars)) == spaces
-        assert not any(_ENTITY_ID.fullmatch(f"a{c}b") for c in spaces)
-        assert _ENTITY_ID.fullmatch("a-b>c~")
-        assert all(_NOT_ENTITY_ID.search(f"a{c}b") for c in spaces - {"\n"})
+        assert not any(_ID.fullmatch(f"a{c}b") for c in spaces)
+        assert _ID.fullmatch("a-b>c~")
+        # the ids' joined text is checked by what str.split cuts out of it
+        assert "".join(chars.split()) == "".join(c for c in chars if c not in spaces)
 
     def test_names_are_checked_apart(self):
         # "a-" and ">b" are joined by a newline for the check, never into "->"
@@ -188,6 +225,41 @@ class TestBuildGraph:
         assert hierarchy.depth("B") == 1002
         assert hierarchy.lca("B", "T1499") == "T1000"
         assert len(hierarchy.ancestors("T1499")) == 1501
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+class TestNames:
+    @given(names=st.lists(st.text("ab-> \n\u00a0\u2028", max_size=4), unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_copies_check_each_name(self, names):
+        names.sort()
+
+        def reference(kind, names):
+            for name in names:
+                _check_identifier(kind, name)
+            return names
+
+        assert _outcome(_copies, "entity", names) == _outcome(reference, "entity", names)
+
+    @pytest.mark.parametrize("names", [[], ["ab"], ["ab", "cd", "éé", "名前"]])
+    def test_copies_are_new_strings(self, names):
+        copies = _copies("entity", names)
+        assert copies == names
+        assert not set(map(id, copies)) & set(map(id, names))
+
+    @given(column=st.lists(st.sampled_from(["b", "a", "c", "ab", "é"])))
+    @settings(max_examples=100, deadline=None)
+    def test_codes_index_the_sorted_names(self, column):
+        names, codes = _codes(iter(column), len(column))
+        assert names == sorted(set(column))
+        assert codes.dtype == np.int32
+        assert codes.tolist() == [names.index(name) for name in column]
 
 
 class TestNeighbors:
@@ -367,6 +439,37 @@ class TestInvariants:
                 for inv in (False, True):
                     rel = DirectedRelation(r, inv)
                     assert a.out_neighbors(e, rel) == b.out_neighbors(e, rel)
+
+    @given(
+        triples=st.lists(
+            st.tuples(
+                st.sampled_from(["e1", "e2", "e3", "e4", "e5"]),
+                st.sampled_from(["ra", "rb"]),
+                st.sampled_from(["e1", "e2", "e3", "e4", "e5"]),
+            ),
+            max_size=15,
+        ),
+        # e6 has no edge; an entity with rows of two types is multi-typed
+        assignments=st.lists(
+            st.tuples(st.sampled_from(["e1", "e2", "e3", "e6"]), st.sampled_from(["TT", "UU", "VV"])),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_build_reads_names_by_value(self, triples, assignments):
+        tables = (triples, assignments, [("TT", "Object"), ("UU", "Object"), ("VV", "TT")])
+        share = {}.setdefault
+        shared = [[tuple(share(f, f) for f in row) for row in table] for table in tables]
+        # equal names as distinct string objects
+        apart = [[tuple((f + ".")[:-1] for f in row) for row in table] for table in tables]
+        fields = [f for table in apart for row in table for f in row]
+        assert len(set(map(id, fields))) == len(fields)
+        states = [
+            _state(*build_graph(*shared)),
+            _state(*build_graph(*apart)),
+            _state(*build_graph(*(iter(table) for table in shared))),
+        ]
+        assert states[0] == states[1] == states[2]
 
     def test_inverting_twice_is_identity(self):
         rel = DirectedRelation("found")

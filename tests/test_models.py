@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 
 from hinwalk import (
     LogisticModel,
+    ParseError,
     TrainConfig,
     UnknownEntityError,
     auc,
@@ -317,6 +318,21 @@ class TestSerialization:
         model = LogisticModel(np.array([1.0]), 0.0, 0.0)
         with pytest.raises(ValueError):
             save_model(tmp_path / "m.tsv", model, [])
+
+    @pytest.mark.parametrize(
+        "lines, reason",
+        [
+            (["bias\t0", "fit_bias\t0.5"], "fit_bias must be 0 or 1, got '0.5'"),
+            (["fit_bias\t1", "bias\t0", "bias\t0.5"], "repeated model field 'bias'"),
+            (["fit_bias\t1", "bias\t0", "foo\t3"], "unknown model field 'foo'"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, lines, reason):
+        bad = tmp_path / "m.tsv"
+        bad.write_text("\n".join(["hinwalk-model\t1", "l2\t0.01", *lines, "path\t1\tA"]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert (err.value.lineno, err.value.reason) == (len(lines) + 2, reason)
 
     def test_reject_foreign_file(self, tmp_path):
         bad = tmp_path / "bad.tsv"
