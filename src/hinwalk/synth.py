@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import build_graph
+from .graph import _check_identifier, build_graph
 from .io import DatasetBundle, ExampleRow, write_edges, write_examples, write_hierarchy, write_types
 from .metapath import MetaPath
 from .treesearch import SearchConfig
@@ -37,6 +37,8 @@ class SyntheticSpec:
     n_pairs: int = 100  # positives and negatives, each, per split
 
     def __post_init__(self):
+        for t in self.entity_counts:
+            _check_identifier("type", t)  # the loader's rule, so the bundle loads
         for t in self.planted.node_types:
             if self.entity_counts.get(t, 0) <= 0:
                 raise ValueError(f"planted path needs entities of type {t!r}, got none")
@@ -110,6 +112,12 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetBundl
         raise ValueError(
             f"only {len(connected)} planted pairs exist, need {need}; "
             f"increase entity counts or out_degree"
+        )
+    unconnected = len(sources) * len(targets_all) - len(connected)
+    if unconnected < need:
+        raise ValueError(
+            f"only {unconnected} unconnected pairs exist, need {need} negatives; "
+            f"increase entity counts or lower out_degree"
         )
     positives = rng.sample(sorted(connected), need)
     negatives: list[tuple[str, str]] = []

@@ -6,8 +6,11 @@ for one relation sequence of length L and stores walk tuples
 concrete walk from the example sources along that sequence. The tuples are a
 sparse matrix with one row per example source and one column per entity;
 expanding a node multiplies it by each directed relation's row-normalised
-step matrix (:mod:`hinwalk.walks`), one child per non-empty product. A node's
-priority
+step matrix (:mod:`hinwalk.walks`), one child per non-empty product. Walk
+mass is positive, so a product is empty exactly when none of the node's
+entities has an edge of that relation; such directions are told apart by the
+step's row pointers and never multiplied, since every sparse product pays
+for a workspace as wide as the graph, empty or not. A node's priority
 
     S = base * beta**depth  (+ 1 when the node holds an example pair)
 
@@ -252,7 +255,13 @@ class SearchTree:
             raise ValueError(f"node at max depth {self.config.max_depth} cannot be expanded")
         node.expanded = True
         created = []
+        # the node's entities, with repeats: removing them costs more than it saves
+        cols = node.tuples.mass.indices
+        after = cols + 1
         for d, step in self._steps:
+            indptr = step.edges.indptr
+            if not (indptr[after] > indptr[cols]).any():
+                continue  # no entity of the node has an out-edge: the product is empty
             mass = node.tuples.mass @ step.walk
             if not mass.nnz:
                 continue

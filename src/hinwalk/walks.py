@@ -10,7 +10,13 @@ Every traversal, here and in the tree search, is one sparse product per
 step, ``mass @ step``, with a directed relation's adjacency restricted to the
 step's node types (:meth:`HinGraph.step_matrix`): row-normalised it moves
 walk mass, as raw counts it counts path instances (the commuting matrix),
-as booleans it marks reachable entities (meta-path enumeration). Commuting
+as booleans it marks reachable entities (meta-path enumeration). No product
+is made whose entries nobody reads: enumeration asks of a sequence only
+whether its last hop meets the target type, so it tests that with one
+boolean matrix-vector product against each direction's "has an edge into
+the targets" vector and builds reachable sets only for the sequences that
+are extended; the tree search multiplies only the directions in which the
+node's entities have an edge (:mod:`hinwalk.treesearch`). Commuting
 counts are built inside their row x column block as two half-path products
 that grow from the outside in, from the rows and from the columns, and meet
 in the middle in one final product (:func:`block_counts`); ``nnz_budget``
@@ -48,9 +54,6 @@ class WalkDistribution:
     source: str
     metapath: MetaPath
     mass: dict[str, float]
-
-    def total(self) -> float:
-        return sum(self.mass.values())
 
 
 def _resolve(graph: HinGraph, metapath: MetaPath) -> list[tuple[int, bool]]:
@@ -284,11 +287,14 @@ def enumerate_metapaths(
 
     Breadth-first sweep over relation-sequence prefixes: a level is a boolean
     sparse matrix with one row per sequence, marking the entities reachable
-    along it from any source-type entity, and one boolean product per
-    directed relation extends the whole level. A sequence qualifies when its
-    reachable set meets the target-type entities. Results are ordered by
-    length, then by relation sequence; node types are left at the wildcard
-    root type.
+    along it from any source-type entity. A sequence extended by a directed
+    relation qualifies when its reachable set holds an entity with an edge of
+    that relation into the target-type entities, which one boolean
+    matrix-vector product per direction and level tests. One boolean product
+    per directed relation builds the next level, and the last level builds
+    none. Results are ordered by length, then by relation sequence; node
+    types are left at the wildcard root type, and the paths share one
+    :class:`DirectedRelation` per direction.
     """
     n = graph.n_entities
     start = graph.type_members(source_type)
@@ -298,7 +304,9 @@ def enumerate_metapaths(
         return []
 
     root = graph.hierarchy.root
-    steps = [graph.step_matrix(r, inv, root, root) for r, inv in graph.directions]
+    edges = [graph.step_matrix(r, inv, root, root).edges for r, inv in graph.directions]
+    # entities with an edge into the targets, per direction (bool @ bool is an or)
+    into_target = [adj @ is_target for adj in edges]
 
     found: list[tuple[tuple[int, bool], ...]] = []
     seqs: list[tuple[tuple[int, bool], ...]] = [()]
@@ -306,14 +314,15 @@ def enumerate_metapaths(
     for length in range(1, max_len + 1):
         next_seqs: list[tuple[tuple[int, bool], ...]] = []
         blocks = []
-        for d, step in zip(graph.directions, steps):
+        for d, adj, hit in zip(graph.directions, edges, into_target):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceededError("meta-path enumeration deadline exceeded")
-            following = reach @ step.edges  # bool @ bool stays bool in scipy
+            found.extend(seq + (d,) for seq, hits in zip(seqs, reach @ hit) if hits)
+            if length == max_len:
+                continue
+            following = reach @ adj  # bool @ bool stays bool in scipy
             live = np.diff(following.indptr) > 0
-            hits = following @ is_target
-            found.extend(seq + (d,) for seq, hit in zip(seqs, hits) if hit)
-            if length < max_len and live.any():
+            if live.any():
                 next_seqs.extend(seq + (d,) for seq, alive in zip(seqs, live) if alive)
                 blocks.append(following[live])
         if not next_seqs:
@@ -322,7 +331,5 @@ def enumerate_metapaths(
         reach = sp.vstack(blocks, format="csr")
 
     found.sort(key=lambda seq: (len(seq), seq))
-    return [
-        relations_only(tuple(DirectedRelation(graph.relations[r], inv) for r, inv in seq))
-        for seq in found
-    ]
+    relation = {d: DirectedRelation(graph.relations[d[0]], d[1]) for d in graph.directions}
+    return [relations_only(tuple(map(relation.__getitem__, seq))) for seq in found]

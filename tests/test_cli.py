@@ -136,6 +136,22 @@ def test_synth_seed_reproducible(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--type-counts", "A=3,B=3", "--planted", "A -r-> B", "--pairs", "1", "--noise-rate", "0",
+          "--distractors", "0", "--noise-relations", "0"], "only 0 unconnected pairs exist"),
+        (["--type-counts", "=3,A=30,B=30", "--planted", "A -r-> B", "--pairs", "5"],
+         "empty type id"),
+    ],
+    ids=["every-pair-connected", "empty-type-name"],
+)
+def test_unsatisfiable_synth_spec_exits_3(tmp_path, capsys, argv, reason):
+    assert main(["synth", "--out-dir", str(tmp_path / "out"), *argv]) == 3
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_and_bench_commands(tmp_path, capsys):
     out_dir = tmp_path / "synth"
     synth_report = tmp_path / "synth.jsonl"

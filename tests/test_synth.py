@@ -87,6 +87,44 @@ class TestGenerateSynthetic:
                 noise_rate=rate,
             )
 
+    @pytest.mark.parametrize("name", ["", " ", "A B", "A\u00a0", "A->B"])
+    def test_type_name_outside_the_id_rule_rejected(self, name):
+        with pytest.raises(ValueError, match="type id"):
+            SyntheticSpec(
+                entity_counts={name: 3, "A": 10, "B": 10},
+                planted=parse_metapath("A -r_ab-> B"),
+            )
+
+    def test_too_few_unconnected_pairs_rejected(self, tmp_path):
+        # out-degree 3 over 3 targets connects all 9 pairs: no negatives exist
+        spec = SyntheticSpec(
+            entity_counts={"A": 3, "B": 3},
+            planted=parse_metapath("A -r-> B"),
+            noise_rate=0.0,
+            distractor_relations=0,
+            noise_relation_count=0,
+            n_pairs=1,
+        )
+        with pytest.raises(ValueError, match="only 0 unconnected pairs exist, need 2"):
+            generate_synthetic(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_just_enough_unconnected_pairs_generate(self, tmp_path):
+        # 3 x 4 pairs, 9 connected: the 3 others hold the 2 negatives
+        spec = SyntheticSpec(
+            entity_counts={"A": 3, "B": 4},
+            planted=parse_metapath("A -r-> B"),
+            noise_rate=0.0,
+            distractor_relations=0,
+            noise_relation_count=0,
+            n_pairs=1,
+        )
+        parsed = parse_bundle(generate_synthetic(spec, tmp_path))
+        negatives = [r for r in parsed.example_rows + parsed.holdout_rows if r.label == 0]
+        assert len(negatives) == 2
+        for row in negatives:
+            assert walk_probability(parsed.graph, row.source, row.target, spec.planted) == 0.0
+
     def test_long_planted_path_warns(self):
         counts = {t: 4 for t in "ABCDEFGH"}
         long_path = parse_metapath(

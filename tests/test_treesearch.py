@@ -175,6 +175,24 @@ class TestExpand:
         with pytest.raises(ValueError, match="expanded"):
             tree.expand_node(tree.root)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_children_are_the_nonempty_products(self, seed):
+        graph, _ = random_typed_graph(seed)
+        examples = ExamplePairSet(random_example_pairs(graph, seed, n=3))
+        result = generate_paths(graph, examples, SearchConfig(max_paths=5, max_depth=4))
+        root = graph.hierarchy.root
+        stack, expanded = [result.tree.root], 0
+        while stack:
+            node = stack.pop()
+            mass = node.tuples.mass
+            nonempty = [
+                d for d in graph.directions if (mass @ graph.step_matrix(*d, root, root).walk).nnz
+            ]
+            assert list(node.children) == (nonempty if node.expanded else [])
+            expanded += node.expanded
+            stack.extend(node.children.values())
+        assert expanded
+
 
 class TestSearch:
     def test_g1_first_emission(self, g1):

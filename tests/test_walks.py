@@ -12,6 +12,7 @@ from hinwalk import (
     MetaPath,
     UnknownRelationError,
     UnknownTypeError,
+    build_graph,
     build_index,
     commuting_matrix,
     enumerate_metapaths,
@@ -205,7 +206,7 @@ class TestOracleEquivalence:
         graph, _ = random_typed_graph(seed, max_entities=14)
         for path in realized_paths(graph):
             for source in graph.entities:
-                total = walk_distribution(graph, source, path).total()
+                total = sum(walk_distribution(graph, source, path).mass.values())
                 assert total <= 1.0 + 1e-9
                 if _has_dead_end(graph, source, path):
                     assert total < 1.0 - 1e-9
@@ -387,6 +388,63 @@ class TestEnumerateMetapaths:
                 enumerate_path_instances(graph, source, path) for source in graph.entities
             )
 
+    def test_max_len_one_is_the_directions_into_the_targets(self):
+        for seed in range(20):
+            graph, _ = random_typed_graph(seed, max_entities=12)
+            types = sorted(graph.hierarchy.types)
+            source_type, target_type = types[seed % len(types)], types[seed // 3 % len(types)]
+            targets = set(graph.type_members(target_type).tolist())
+            want = [
+                relations_only((DirectedRelation(graph.relations[r], inv),))
+                for r, inv in graph.directions
+                if any(
+                    targets.intersection(graph.neighbors_idx(s, r, inv))
+                    for s in graph.type_members(source_type).tolist()
+                )
+            ]
+            assert enumerate_metapaths(graph, source_type, target_type, 1) == want
+
+    def test_no_source_or_target_members(self):
+        graph, _ = build_graph(
+            [("a", "r", "b"), ("b", "s", "a")],
+            [("a", "A"), ("b", "B")],
+            [("A", "Object"), ("B", "Object"), ("C", "Object")],
+        )
+        assert enumerate_metapaths(graph, "A", "C", 3) == []
+        assert enumerate_metapaths(graph, "C", "A", 3) == []
+        assert [str(p) for p in enumerate_metapaths(graph, "A", "B", 3)] == [
+            "Object -r-> Object",
+            "Object -s~-> Object",
+            "Object -r-> Object -r~-> Object -r-> Object",
+            "Object -r-> Object -r~-> Object -s~-> Object",
+            "Object -r-> Object -s-> Object -r-> Object",
+            "Object -r-> Object -s-> Object -s~-> Object",
+            "Object -s~-> Object -r~-> Object -r-> Object",
+            "Object -s~-> Object -r~-> Object -s~-> Object",
+            "Object -s~-> Object -s-> Object -r-> Object",
+            "Object -s~-> Object -s-> Object -s~-> Object",
+        ]
+
+    def test_paths_share_one_relation_per_direction(self):
+        graph, _ = random_typed_graph(3, max_entities=12)
+        paths = enumerate_metapaths(graph, "Object", "Object", 3)
+        shared = {}
+        for path in paths:
+            for rel in path.relations:
+                assert shared.setdefault((rel.name, rel.inverted), rel) is rel
+        assert len(paths) > len(shared) > 1
+
+
+@given(seed=st.integers(0, 10_000), max_len=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_enumeration_is_a_prefix_of_the_longer_one(seed, max_len):
+    graph, _ = random_typed_graph(seed, max_entities=16)
+    types = sorted(graph.hierarchy.types)
+    for source_type, target_type in [("Object", "Object"), (types[seed % len(types)], types[-1])]:
+        shorter = enumerate_metapaths(graph, source_type, target_type, max_len)
+        longer = enumerate_metapaths(graph, source_type, target_type, max_len + 1)
+        assert shorter == [p for p in longer if p.length <= max_len]
+
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
@@ -396,4 +454,4 @@ def test_walk_mass_bounds(seed):
         for source in graph.entities:
             dist = walk_distribution(graph, source, path)
             assert all(0.0 < m <= 1.0 for m in dist.mass.values())
-            assert dist.total() <= 1.0 + 1e-9
+            assert sum(dist.mass.values()) <= 1.0 + 1e-9
