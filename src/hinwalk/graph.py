@@ -242,10 +242,15 @@ class HinGraph:
             for types in set(self._assigned)
         }
         self._closed: tuple[frozenset[str], ...] = tuple(map(closure.__getitem__, self._assigned))
-        # entities grouped by assigned type set, ascending within each group
+        # each entity's assigned type set as a code into _type_sets, in the
+        # narrowest dtype that holds them: lca_type reads distinct sets from it
+        self._type_sets: tuple[frozenset[str], ...] = tuple(closure)
         code = dict(zip(closure, range(len(closure))))
-        codes = np.fromiter(map(code.__getitem__, self._assigned), INDEX_DTYPE, len(self._assigned))
-        order, runs = _runs(codes, len(code))
+        dtype = np.min_scalar_type(max(len(code) - 1, 0))
+        n = len(self._assigned)
+        self._type_codes = np.fromiter(map(code.__getitem__, self._assigned), dtype, n)
+        # entities grouped by assigned type set, ascending within each group
+        order, runs = _runs(self._type_codes, len(code))
         members: dict[str, list[np.ndarray]] = {}
         for full, (a, b) in zip(closure.values(), runs):
             for t in full:
@@ -341,11 +346,16 @@ class HinGraph:
 
     def lca_type(self, indices: Iterable[int]) -> str:
         """The type of a meta-path position where the entities at ``indices``
-        were seen: the lowest common ancestor of their assigned types."""
-        # entities share one frozenset per distinct type set, so this set is small
-        type_sets = set(map(self._assigned.__getitem__, indices))
-        if not type_sets:
+        (repeats allowed) were seen: the lowest common ancestor of their
+        assigned types."""
+        if not isinstance(indices, np.ndarray):
+            indices = np.fromiter(indices, np.intp)
+        if not len(indices):
             raise ValueError("cannot type a meta-path position without entities")
+        # marks the distinct type sets seen, with no sort of the indices
+        seen = np.zeros(len(self._type_sets), dtype=bool)
+        seen[self._type_codes[indices]] = True
+        type_sets = map(self._type_sets.__getitem__, np.flatnonzero(seen).tolist())
         return self.hierarchy.lca_of_set(frozenset().union(*type_sets))
 
     def type_members(self, type_id: str) -> np.ndarray:

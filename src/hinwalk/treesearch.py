@@ -1,7 +1,7 @@
 """Best-first generation of discriminative meta-paths from example pairs.
 
 The search tree's edges are directed relation types; a node at depth L stands
-for one relation sequence of length L and stores walk tuples
+for one relation sequence of length L and its walk tuples
 ``(source, current) -> f(source, current | sequence)`` aggregated over every
 concrete walk from the example sources along that sequence. The tuples are a
 sparse matrix with one row per example source and one column per entity;
@@ -10,7 +10,18 @@ step matrix (:mod:`hinwalk.walks`), one child per non-empty product. Walk
 mass is positive, so a product is empty exactly when none of the node's
 entities has an edge of that relation; such directions are told apart by the
 step's row pointers and never multiplied, since every sparse product pays
-for a workspace as wide as the graph, empty or not. A node's priority
+for a workspace as wide as the graph, empty or not.
+
+No matrix is kept that nobody reads again: a new child keeps its priority,
+whether it holds an example pair and its number of tuples, and drops its
+mass, since most children are never popped. A node popped to be emitted or
+expanded makes its mass again with the same product from its expanded
+parent, bit for bit the one that created it, and keeps it from then on; a
+node dropped at the depth limit never gets it back. The root and the popped
+nodes are thus the only ones holding a mass; :meth:`SearchTree.node_mass`
+is the one way to read any node's.
+
+A node's priority
 
     S = base * beta**depth  (+ 1 when the node holds an example pair)
 
@@ -22,7 +33,8 @@ any further expansion, since ``base`` is a weighted mean of values at most 1.
 Search steps are constrained by relations only; node types are attached to an
 emitted sequence afterwards: each position gets the lowest common ancestor of
 the assigned types of the entities its node reached
-(:meth:`HinGraph.lca_type`, the one home of this rule).
+(:meth:`HinGraph.lca_type`, the one home of this rule), worked out once per
+node and kept on it.
 
 The tree persists across emissions: an emitted node stays expandable, so
 later rounds can grow longer sequences through it instead of starting over.
@@ -127,13 +139,16 @@ class PathGenerationResult:
 
 @dataclass(eq=False, slots=True)
 class WalkTuples:
-    """A node's walk tuples as a sparse matrix of walk mass, example sources
-    by entities; ``len`` is the number of stored tuples."""
+    """A node's walk tuples: their number (``len``) and, once the node has
+    been popped, their walk mass as a sparse matrix, example sources by
+    entities. A frontier node holds no mass (``None``); read it through
+    :meth:`SearchTree.node_mass`."""
 
-    mass: sp.csr_array
+    count: int
+    mass: sp.csr_array | None = None
 
     def __len__(self) -> int:
-        return self.mass.nnz
+        return self.count
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -147,6 +162,7 @@ class TreeNode:
     children: dict[tuple[int, bool], TreeNode] = field(default_factory=dict)
     expanded: bool = False
     emitted: bool = False
+    node_type: str | None = None  # its position's type, set when a path through it is emitted
 
 
 def _priority(
@@ -224,20 +240,20 @@ class SearchTree:
         self._pair_rows = np.searchsorted(sources, [s for s, _ in examples.pairs])
         self._pair_cols = np.array([graph.entity_index(t) for _, t in examples.pairs])
         root = graph.hierarchy.root
-        self._steps = [(d, graph.step_matrix(*d, root, root)) for d in graph.directions]
+        self._steps = {d: graph.step_matrix(*d, root, root) for d in graph.directions}
 
         source_idx = [graph.entity_index(s) for s in sources]
         root_mass = walk_mass(graph, source_idx, MetaPath((root,), ()))  # one-hot rows
-        self.root = TreeNode(0, (), WalkTuples(root_mass), None)
-        self.root.priority, self.root.has_pair = self._score(self.root)
+        self.root = TreeNode(0, (), WalkTuples(root_mass.nnz, root_mass), None)
+        self.root.priority, self.root.has_pair = self._score(root_mass, 0)
         self.nodes_created = 1
         self._frontier: list[tuple[tuple, TreeNode]] = [(self._key(self.root), self.root)]
 
-    def _score(self, node: TreeNode) -> tuple[float, bool]:
-        row_totals = node.tuples.mass.sum(axis=1).tolist()
+    def _score(self, mass: sp.csr_array, depth: int) -> tuple[float, bool]:
+        row_totals = mass.sum(axis=1).tolist()
         totals = {s: t for s, t in zip(self.examples.sources, row_totals) if t > 0.0}
-        has_pair = bool(node.tuples.mass[self._pair_rows, self._pair_cols].any())
-        return _priority(totals, has_pair, node.depth, self.examples, self.config.beta), has_pair
+        has_pair = bool(mass[self._pair_rows, self._pair_cols].any())
+        return _priority(totals, has_pair, depth, self.examples, self.config.beta), has_pair
 
     def _key(self, node: TreeNode) -> tuple:
         return (-round(node.priority, PRIORITY_DECIMALS), node.depth, node.relseq)
@@ -254,28 +270,44 @@ class SearchTree:
         if node.depth >= self.config.max_depth:
             raise ValueError(f"node at max depth {self.config.max_depth} cannot be expanded")
         node.expanded = True
+        parent_mass = self._keep_mass(node)
         created = []
         # the node's entities, with repeats: removing them costs more than it saves
-        cols = node.tuples.mass.indices
+        cols = parent_mass.indices
         after = cols + 1
-        for d, step in self._steps:
+        for d, step in self._steps.items():
             indptr = step.edges.indptr
             if not (indptr[after] > indptr[cols]).any():
                 continue  # no entity of the node has an out-edge: the product is empty
-            mass = node.tuples.mass @ step.walk
+            mass = parent_mass @ step.walk
             if not mass.nnz:
                 continue
-            child = TreeNode(node.depth + 1, node.relseq + (d,), WalkTuples(mass), node)
-            child.priority, child.has_pair = self._score(child)
+            # the child keeps its count and score; its mass is made again if it is popped
+            child = TreeNode(node.depth + 1, node.relseq + (d,), WalkTuples(mass.nnz), node)
+            child.priority, child.has_pair = self._score(mass, child.depth)
             node.children[d] = child
             self.nodes_created += 1
             heapq.heappush(self._frontier, (self._key(child), child))
             created.append(child)
         return created
 
+    def node_mass(self, node: TreeNode) -> sp.csr_array:
+        """The node's walk mass: its stored matrix, or for a frontier node the
+        product that created it, made again from its expanded parent."""
+        mass = node.tuples.mass
+        if mass is None:
+            mass = node.parent.tuples.mass @ self._steps[node.relseq[-1]].walk
+        return mass
+
+    def _keep_mass(self, node: TreeNode) -> sp.csr_array:
+        """The mass of a node popped to be emitted or expanded, stored from now on."""
+        if node.tuples.mass is None:
+            node.tuples.mass = self.node_mass(node)
+        return node.tuples.mass
+
     def node_tuples(self, node: TreeNode) -> dict[tuple[str, str], float]:
         """Node walk tuples keyed by entity names, for inspection and tests."""
-        coo = node.tuples.mass.tocoo()
+        coo = self.node_mass(node).tocoo()
         sources, name = self.examples.sources, self.graph.entity_name
         return {
             (sources[i], name(v)): f
@@ -286,13 +318,16 @@ class SearchTree:
         return tuple(DirectedRelation(self.graph.relations[r], inv) for r, inv in node.relseq)
 
     def _emit(self, node: TreeNode) -> GeneratedPath:
-        pair_mass = node.tuples.mass[self._pair_rows, self._pair_cols].tolist()
+        pair_mass = self._keep_mass(node)[self._pair_rows, self._pair_cols].tolist()
         scores = {pair: f for pair, f in zip(self.examples.pairs, pair_mass) if f}
-        # each position is typed from the entities its root-path node reached
+        # each position is typed, once, from the entities its root-path node
+        # reached; the node's ancestors were all expanded, so hold their mass
         node_types = []
         cur = node
         while cur is not None:
-            node_types.append(self.graph.lca_type(np.unique(cur.tuples.mass.indices).tolist()))
+            if cur.node_type is None:
+                cur.node_type = self.graph.lca_type(cur.tuples.mass.indices)
+            node_types.append(cur.node_type)
             cur = cur.parent
         relations = self.node_relations(node)
         typed = MetaPath(tuple(reversed(node_types)), relations)

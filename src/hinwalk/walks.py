@@ -11,17 +11,20 @@ step, ``mass @ step``, with a directed relation's adjacency restricted to the
 step's node types (:meth:`HinGraph.step_matrix`): row-normalised it moves
 walk mass, as raw counts it counts path instances (the commuting matrix),
 as booleans it marks reachable entities (meta-path enumeration). No product
-is made whose entries nobody reads: enumeration asks of a sequence only
-whether its last hop meets the target type, so it tests that with one
-boolean matrix-vector product against each direction's "has an edge into
-the targets" vector and builds reachable sets only for the sequences that
-are extended; the tree search multiplies only the directions in which the
-node's entities have an edge (:mod:`hinwalk.treesearch`). Commuting
-counts are built inside their row x column block as two half-path products
-that grow from the outside in, from the rows and from the columns, and meet
-in the middle in one final product (:func:`block_counts`); ``nnz_budget``
-bounds every one of these products. The similarity index multiplies the
-halves in float64, which is exact for counts below 2**53.
+is made, and no matrix kept, whose entries nobody reads: enumeration asks
+of a sequence only whether its last hop meets the target type, so it tests
+a whole level with one boolean product against a sparse entities x
+directions "has an edge into the targets" matrix, stacks reachable sets only
+for the sequences that are extended further, and tests each next-to-last
+reachable set against every last hop as soon as it is made; the tree search
+multiplies only the directions in which the node's entities have an edge,
+and keeps the walk mass of only the nodes it pops, making a frontier node's
+mass again from its parent when it is needed (:mod:`hinwalk.treesearch`).
+Commuting counts are built inside their row x column block as two half-path
+products that grow from the outside in, from the rows and from the columns,
+and meet in the middle in one final product (:func:`block_counts`);
+``nnz_budget`` bounds every one of these products. The similarity index
+multiplies the halves in float64, which is exact for counts below 2**53.
 
 Two deliberately independent routes exist for every quantity: the sparse
 products here, and exhaustive depth-first enumeration of concrete path
@@ -289,38 +292,62 @@ def enumerate_metapaths(
     sparse matrix with one row per sequence, marking the entities reachable
     along it from any source-type entity. A sequence extended by a directed
     relation qualifies when its reachable set holds an entity with an edge of
-    that relation into the target-type entities, which one boolean
-    matrix-vector product per direction and level tests. One boolean product
-    per directed relation builds the next level, and the last level builds
-    none. Results are ordered by length, then by relation sequence; node
-    types are left at the wildcard root type, and the paths share one
-    :class:`DirectedRelation` per direction.
+    that relation into the target-type entities; one boolean product of the
+    level with a sparse entities x directions "edge into the targets" matrix
+    tests every extension at once. One boolean product per directed relation
+    builds the next level's reachable sets; at the next-to-last level each of
+    these is tested against every last hop as soon as it is made, so that
+    level is never stacked, and the last level is never built. Results are
+    ordered by length, then by relation sequence; node types are left at the
+    wildcard root type, and the paths share one :class:`DirectedRelation`
+    per direction.
     """
     n = graph.n_entities
     start = graph.type_members(source_type)
     is_target = np.zeros(n, dtype=bool)
     is_target[graph.type_members(target_type)] = True
-    if max_len <= 0 or not len(start) or not is_target.any():
+    directions = graph.directions
+    if max_len <= 0 or not len(start) or not is_target.any() or not directions:
         return []
 
     root = graph.hierarchy.root
-    edges = [graph.step_matrix(r, inv, root, root).edges for r, inv in graph.directions]
-    # entities with an edge into the targets, per direction (bool @ bool is an or)
-    into_target = [adj @ is_target for adj in edges]
+    edges = [graph.step_matrix(r, inv, root, root).edges for r, inv in directions]
+    # entities x directions: the entities with an edge into the targets, one
+    # column per direction (bool @ bool is an or)
+    hit_rows = [np.flatnonzero(adj @ is_target).astype(INDEX_DTYPE) for adj in edges]
+    indptr = np.cumsum([0] + [len(rows) for rows in hit_rows], dtype=INDEX_DTYPE)
+    into_targets = sp.csc_array(
+        (np.ones(indptr[-1], dtype=bool), np.concatenate(hit_rows), indptr),
+        shape=(n, len(directions)),
+    ).tocsr()
+
+    def last_hops(reach: sp.csr_array) -> Iterator[tuple[int, tuple[int, bool]]]:
+        """(row, direction) of every row of ``reach`` that reaches an entity
+        with an edge of that direction into the targets."""
+        hits = (reach @ into_targets).tocoo()
+        return zip(hits.row.tolist(), map(directions.__getitem__, hits.col.tolist()))
+
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError("meta-path enumeration deadline exceeded")
 
     found: list[tuple[tuple[int, bool], ...]] = []
     seqs: list[tuple[tuple[int, bool], ...]] = [()]
     reach = sp.csr_array((np.ones(len(start), dtype=bool), start, [0, len(start)]), shape=(1, n))
     for length in range(1, max_len + 1):
+        check_deadline()
+        found.extend(seqs[i] + (d,) for i, d in last_hops(reach))
+        if length == max_len:
+            break
+        next_to_last = length == max_len - 1
         next_seqs: list[tuple[tuple[int, bool], ...]] = []
         blocks = []
-        for d, adj, hit in zip(graph.directions, edges, into_target):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceededError("meta-path enumeration deadline exceeded")
-            found.extend(seq + (d,) for seq, hits in zip(seqs, reach @ hit) if hits)
-            if length == max_len:
-                continue
+        for d, adj in zip(directions, edges):
+            check_deadline()
             following = reach @ adj  # bool @ bool stays bool in scipy
+            if next_to_last:
+                found.extend(seqs[i] + (d, last) for i, last in last_hops(following))
+                continue
             live = np.diff(following.indptr) > 0
             if live.any():
                 next_seqs.extend(seq + (d,) for seq, alive in zip(seqs, live) if alive)
@@ -331,5 +358,5 @@ def enumerate_metapaths(
         reach = sp.vstack(blocks, format="csr")
 
     found.sort(key=lambda seq: (len(seq), seq))
-    relation = {d: DirectedRelation(graph.relations[d[0]], d[1]) for d in graph.directions}
+    relation = {d: DirectedRelation(graph.relations[d[0]], d[1]) for d in directions}
     return [relations_only(tuple(map(relation.__getitem__, seq))) for seq in found]

@@ -184,7 +184,7 @@ class TestExpand:
         stack, expanded = [result.tree.root], 0
         while stack:
             node = stack.pop()
-            mass = node.tuples.mass
+            mass = result.tree.node_mass(node)
             nonempty = [
                 d for d in graph.directions if (mass @ graph.step_matrix(*d, root, root).walk).nnz
             ]
@@ -192,6 +192,35 @@ class TestExpand:
             expanded += node.expanded
             stack.extend(node.children.values())
         assert expanded
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_only_popped_nodes_keep_their_mass(self, seed):
+        graph, _ = random_typed_graph(seed)
+        examples = ExamplePairSet(random_example_pairs(graph, seed, n=3))
+        result = generate_paths(
+            graph, examples, SearchConfig(max_paths=5, max_depth=4), record_trace=True
+        )
+        tree, root = result.tree, graph.hierarchy.root
+        popped = {relseq for event, _, _, _, relseq in tree.trace if event != "drop"}
+        stack, stored = [tree.root], 0
+        while stack:
+            node = stack.pop()
+            mass = tree.node_mass(node)
+            if node.parent is None:
+                assert node.tuples.mass is mass
+            else:
+                step = graph.step_matrix(*node.relseq[-1], root, root)
+                want = tree.node_mass(node.parent) @ step.walk
+                for part in ("data", "indices", "indptr"):
+                    got, expected = getattr(mass, part), getattr(want, part)
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                kept = node.tuples.mass is not None
+                assert kept == (node.relseq in popped)
+                stored += kept
+            assert len(node.tuples) == mass.nnz
+            stack.extend(node.children.values())
+        assert stored < tree.nodes_created - 1
 
 
 class TestSearch:
@@ -320,8 +349,9 @@ class TestTupleScores:
         for node in nodes[:8]:
             nodes += tree.expand_node(node)
         for node in nodes:
-            assert node.tuples.mass.indices.dtype == np.int32
-            assert node.tuples.mass.indptr.dtype == np.int32
+            mass = tree.node_mass(node)
+            assert mass.indices.dtype == np.int32
+            assert mass.indptr.dtype == np.int32
 
 
 class TestBestFirstProperty:

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -30,6 +29,34 @@ P_FOUNDERS = "Person -found-> Organization -found~-> Person"
 
 def realized_paths(graph, max_len=3):
     return enumerate_metapaths(graph, "Object", "Object", max_len)
+
+
+def realized_sequences(graph, source_type, target_type, max_len):
+    """Signatures of the relation sequences of every concrete walk of length
+    1..max_len from a source-type entity to a target-type entity, found by
+    depth-first search over entities (each entity and sequence visited once)."""
+    def carries(type_id):
+        return {e for e in range(graph.n_entities) if type_id in graph.closed_types_idx(e)}
+
+    targets = carries(target_type)
+    seen, out = set(), set()
+
+    def descend(entity, relations):
+        if (entity, relations) in seen:
+            return
+        seen.add((entity, relations))
+        if relations and entity in targets:
+            out.add(relations_only(relations).signature())
+        if len(relations) == max_len:
+            return
+        for r, inv in graph.directions:
+            step = DirectedRelation(graph.relations[r], inv)
+            for w in graph.neighbors_idx(entity, r, inv):
+                descend(w, relations + (step,))
+
+    for source in carries(source_type):
+        descend(source, ())
+    return out
 
 
 def sampled_paths(graph, seed, lengths=(1, 2, 3, 4, 5, 6)):
@@ -369,16 +396,19 @@ class TestEnumerateMetapaths:
     @pytest.mark.parametrize("seed", range(10))
     def test_every_realized_sequence_is_enumerated(self, seed):
         graph, _ = random_typed_graph(seed, max_entities=12)
-        directions = [DirectedRelation(r, inv) for r in graph.relations for inv in (False, True)]
-        realized = set()
-        for length in (1, 2, 3):
-            for relations in itertools.product(directions, repeat=length):
-                path = relations_only(relations)
-                if any(enumerate_path_instances(graph, s, path) for s in graph.entities):
-                    realized.add(path.signature())
-        got = [p.signature() for p in enumerate_metapaths(graph, "Object", "Object", 3)]
-        assert set(got) == realized
-        assert got == sorted(realized, key=lambda sig: (len(sig), sig))
+        root = graph.hierarchy.root
+        types = sorted(set(graph.hierarchy.types) - {root})
+        rng = random.Random(seed)
+        endpoints = [(root, root), (rng.choice(types), rng.choice(types))]
+        for source_type, target_type in endpoints:
+            realized = realized_sequences(graph, source_type, target_type, 4)
+            for max_len in (1, 2, 3, 4):
+                want = sorted(
+                    (seq for seq in realized if len(seq) <= max_len),
+                    key=lambda seq: (len(seq), seq),
+                )
+                got = enumerate_metapaths(graph, source_type, target_type, max_len)
+                assert [p.signature() for p in got] == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_sequence_is_realized(self, seed):
@@ -424,6 +454,11 @@ class TestEnumerateMetapaths:
             "Object -s~-> Object -s-> Object -r-> Object",
             "Object -s~-> Object -s-> Object -s~-> Object",
         ]
+
+    def test_graph_without_relations_has_no_sequences(self):
+        graph, _ = build_graph([], [("a", "A")], [("A", "Object")])
+        assert enumerate_metapaths(graph, "A", "A", 1) == []
+        assert enumerate_metapaths(graph, "A", "A", 3) == []
 
     def test_paths_share_one_relation_per_direction(self):
         graph, _ = random_typed_graph(3, max_entities=12)
