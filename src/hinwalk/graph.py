@@ -8,17 +8,18 @@ of its untyped step (:class:`StepMatrix`, row and column type both the
 root): row ``e`` holds entity ``e``'s neighbours, sorted, one ``True`` per
 distinct edge. Neighbour queries read these matrices, and the type-filtered
 steps the walk code multiplies (:meth:`HinGraph.step_matrix`) are cut from
-them.
+them. Each entity's types are kept once, as one small integer code (the
+narrowest unsigned dtype that holds it) into the graph's distinct assigned
+type sets and their closures under the hierarchy.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, count, filterfalse
+from itertools import chain, count, filterfalse, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -219,7 +220,8 @@ class HinGraph:
         entity_index: dict[str, int],
         relations: Sequence[str],
         adjacency: Sequence[tuple[sp.csr_array, sp.csr_array]],
-        assigned_types: Sequence[frozenset[str]],
+        type_codes: np.ndarray,
+        type_sets: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
     ):
         self.entities: tuple[str, ...] = tuple(entity_index)  # in index order
@@ -227,7 +229,6 @@ class HinGraph:
         self.hierarchy = hierarchy
         self._eindex = entity_index
         self._rindex = {name: i for i, name in enumerate(self.relations)}
-        self._assigned = tuple(assigned_types)
         root = hierarchy.root
         # seeded with each direction's untyped step, the one stored adjacency:
         # adjacency[relation][inverted] is its boolean edge matrix
@@ -237,22 +238,17 @@ class HinGraph:
             for inv, edges in zip((False, True), pair)
         }
 
-        closure = {
-            types: frozenset().union(*map(hierarchy.ancestors, types))
-            for types in set(self._assigned)
-        }
-        self._closed: tuple[frozenset[str], ...] = tuple(map(closure.__getitem__, self._assigned))
-        # each entity's assigned type set as a code into _type_sets, in the
-        # narrowest dtype that holds them: lca_type reads distinct sets from it
-        self._type_sets: tuple[frozenset[str], ...] = tuple(closure)
-        code = dict(zip(closure, range(len(closure))))
-        dtype = np.min_scalar_type(max(len(code) - 1, 0))
-        n = len(self._assigned)
-        self._type_codes = np.fromiter(map(code.__getitem__, self._assigned), dtype, n)
+        # the only per-entity type record: entity e's assigned types are
+        # _type_sets[_type_codes[e]], their closure _closed_sets[_type_codes[e]]
+        self._type_codes = type_codes
+        self._type_sets: tuple[frozenset[str], ...] = tuple(type_sets)
+        self._closed_sets: tuple[frozenset[str], ...] = tuple(
+            frozenset().union(*map(hierarchy.ancestors, types)) for types in self._type_sets
+        )
         # entities grouped by assigned type set, ascending within each group
-        order, runs = _runs(self._type_codes, len(code))
+        order, runs = _runs(type_codes, len(self._type_sets))
         members: dict[str, list[np.ndarray]] = {}
-        for full, (a, b) in zip(closure.values(), runs):
+        for full, (a, b) in zip(self._closed_sets, runs):
             for t in full:
                 members.setdefault(t, []).append(order[a:b].astype(INDEX_DTYPE))
         self._type_members = {t: np.sort(np.concatenate(g)) for t, g in members.items()}
@@ -292,7 +288,7 @@ class HinGraph:
         return tuple(d for d in self.directions if self.neighbors_idx(entity, *d))
 
     def closed_types_idx(self, entity: int) -> frozenset[str]:
-        return self._closed[entity]
+        return self._closed_sets[self._type_codes[entity]]
 
     def step_matrix(
         self, relation: int, inverted: bool, row_type: str, col_type: str
@@ -338,11 +334,11 @@ class HinGraph:
 
     def assigned_types(self, entity: str) -> frozenset[str]:
         """Types directly assigned to the entity (no ancestor expansion)."""
-        return self._assigned[self.entity_index(entity)]
+        return self._type_sets[self._type_codes[self.entity_index(entity)]]
 
     def entity_types(self, entity: str) -> frozenset[str]:
         """Assigned types closed under ancestor expansion up to the root."""
-        return self._closed[self.entity_index(entity)]
+        return self.closed_types_idx(self.entity_index(entity))
 
     def lca_type(self, indices: Iterable[int]) -> str:
         """The type of a meta-path position where the entities at ``indices``
@@ -409,28 +405,35 @@ def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
     return list(map(first.__getitem__, order)), index_at[at]
 
 
-def _assigned_types(
+def _type_codes(
     assignments: Sequence[tuple[str, str]], names: list[str], hierarchy: TypeHierarchy
-) -> list[frozenset[str]]:
-    """The assigned type set of each of the sorted entity ``names``, one
-    frozenset object per distinct set, over the hierarchy's own strings.
+) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """The assigned type set of each of the sorted entity ``names`` as a
+    code, in the narrowest dtype that holds them, and the distinct sets the
+    codes number: one frozenset each, over the hierarchy's own strings, in
+    the order of their sorted members (so the same at every hash seed).
     Each typed entity gets the type of its last row, and the types of its
     other rows if it has more; an untyped entity gets the root."""
-    own = dict(zip(hierarchy.types, hierarchy.types))
-    last = dict(zip(_column(assignments, 0), _column(assignments, 1)))
-    single = {t: frozenset((own[t],)) for t in set(last.values()) | {hierarchy.root}}
-    single[None] = single[hierarchy.root]
-    assigned = list(map(single.__getitem__, map(last.get, names)))
-    if len(last) < len(assignments):  # some entity has more than one row
+    # each entity's last type, or the frozenset of its types if it has more
+    key: dict[str, str | frozenset[str]] = dict(
+        zip(_column(assignments, 0), _column(assignments, 1))
+    )
+    if len(key) < len(assignments):  # some entity has more than one row
         more: dict[str, set[str]] = {}
         pairs = set(zip(_column(assignments, 0), _column(assignments, 1)))
-        for entity, type_id in pairs.difference(last.items()):
-            more.setdefault(entity, {last[entity]}).add(type_id)
-        shared: dict[frozenset[str], frozenset[str]] = {}
-        for entity, types in more.items():
-            types = frozenset(map(own.__getitem__, types))
-            assigned[bisect_left(names, entity)] = shared.setdefault(types, types)
-    return assigned
+        for entity, type_id in pairs.difference(key.items()):
+            more.setdefault(entity, {key[entity]}).add(type_id)
+        key.update((entity, frozenset(types)) for entity, types in more.items())
+    keys = set(key.values())
+    if len(key) < len(names):  # some entity is untyped
+        keys.add(hierarchy.root)
+    own = dict(zip(hierarchy.types, hierarchy.types))
+    sets = {k: frozenset(map(own.__getitem__, (k,) if isinstance(k, str) else k)) for k in keys}
+    order = sorted(keys, key=lambda k: sorted(sets[k]))
+    code = dict(zip(order, range(len(order))))
+    dtype = np.min_scalar_type(max(len(order) - 1, 0))
+    keys_at = map(key.get, names, repeat(hierarchy.root))
+    return np.fromiter(map(code.__getitem__, keys_at), dtype, len(names)), [sets[k] for k in order]
 
 
 def build_graph(
@@ -473,7 +476,7 @@ def build_graph(
     for name in relation_names:
         _check_identifier("relation", name)
     relations = _copies("relation", relation_names)
-    assigned_types = _assigned_types(assignments, names, hierarchy)
+    type_codes, type_sets = _type_codes(assignments, names, hierarchy)
 
     # edges grouped by relation with one sort, not one full-length mask per
     # relation
@@ -484,5 +487,5 @@ def build_graph(
         s, t = src[order[a:b]], dst[order[a:b]]
         adjacency.append((_edges(s, t, n), _edges(t, s, n)))
 
-    graph = HinGraph(eindex, relations, adjacency, assigned_types, hierarchy)
+    graph = HinGraph(eindex, relations, adjacency, type_codes, type_sets, hierarchy)
     return graph, hierarchy

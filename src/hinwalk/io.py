@@ -256,6 +256,7 @@ def read_report(path: str | Path) -> tuple[dict, list[dict]]:
             lines.append(record)
     if not lines or "report" not in lines[0]:
         raise ValueError(f"{path}: missing report header")
-    if lines[0].get("version") != REPORT_VERSION:
-        raise ValueError(f"{path}: unsupported report version {lines[0].get('version')!r}")
+    version = lines[0].get("version")
+    if type(version) is not int or version != REPORT_VERSION:  # true and 1.0 equal 1
+        raise ValueError(f"{path}: unsupported report version {version!r}")
     return lines[0], lines[1:]

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from .errors import UnknownEntityError
 from .graph import HinGraph
 from .metapath import MetaPath
-from .walks import DEFAULT_NNZ_BUDGET, block_counts, positions
+from .walks import block_counts, positions
 
 
 @dataclass
@@ -41,7 +41,6 @@ def build_index(
     graph: HinGraph,
     metapaths: Sequence[MetaPath],
     theta: Sequence[float] | None = None,
-    nnz_budget: int = DEFAULT_NNZ_BUDGET,
 ) -> SimilarityIndex:
     """Combine commuting matrices with weights theta (uniform 1/M by default).
 
@@ -77,7 +76,7 @@ def build_index(
     # in place matches scaling an int64 copy without keeping one
     combined: sp.csr_array | None = None
     for w, mp in zip(weights, metapaths):
-        counts = block_counts(graph, mp, rows, cols, nnz_budget, dtype=np.float64)
+        counts = block_counts(graph, mp, rows, cols, dtype=np.float64)
         counts.data *= w
         combined = counts if combined is None else combined + counts
     combined.eliminate_zeros()

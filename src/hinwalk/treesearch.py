@@ -93,10 +93,7 @@ class ExamplePairSet:
         for (s, _), w in seen.items():
             self.max_weight[s] = max(self.max_weight.get(s, 0.0), w)
             self.pair_count[s] = self.pair_count.get(s, 0) + 1
-
-    @property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(sorted(self.max_weight))
+        self.sources: tuple[str, ...] = tuple(sorted(self.max_weight))
 
     def __len__(self) -> int:
         return len(self.pairs)

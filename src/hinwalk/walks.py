@@ -22,9 +22,10 @@ and keeps the walk mass of only the nodes it pops, making a frontier node's
 mass again from its parent when it is needed (:mod:`hinwalk.treesearch`).
 Commuting counts are built inside their row x column block as two half-path
 products that grow from the outside in, from the rows and from the columns,
-and meet in the middle in one final product (:func:`block_counts`);
-``nnz_budget`` bounds every one of these products. The similarity index
-multiplies the halves in float64, which is exact for counts below 2**53.
+and meet in the middle in one final product (:func:`block_counts`); the
+module constant ``NNZ_BUDGET`` bounds every one of these products. The
+similarity index multiplies the halves in float64, which is exact for
+counts below 2**53.
 
 Two deliberately independent routes exist for every quantity: the sparse
 products here, and exhaustive depth-first enumeration of concrete path
@@ -46,7 +47,7 @@ from .errors import BudgetExceededError, UnknownEntityError, UnknownTypeError
 from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix
 from .metapath import MetaPath, relations_only
 
-DEFAULT_NNZ_BUDGET = 50_000_000
+NNZ_BUDGET = 50_000_000  # stored entries per commuting-count product, read at call time
 DEFAULT_INSTANCE_CAP = 100_000
 
 
@@ -221,7 +222,6 @@ def block_counts(
     metapath: MetaPath,
     rows: np.ndarray,
     cols: np.ndarray,
-    nnz_budget: int = DEFAULT_NNZ_BUDGET,
     dtype: type = np.int64,
 ) -> sp.csr_array:
     """Path-instance counts from the ``rows`` entities to the ``cols`` entities
@@ -233,13 +233,13 @@ def block_counts(
     to the columns and the right half multiplied right to left, so no product
     spans all entities on both sides. The halves are cast to ``dtype`` and
     meet in one final product. Every product, the final one included, must
-    stay within ``nnz_budget`` stored entries.
+    stay within ``NNZ_BUDGET`` stored entries.
     """
 
     def checked(product: sp.csr_array) -> sp.csr_array:
-        if product.nnz > nnz_budget:
+        if product.nnz > NNZ_BUDGET:
             raise BudgetExceededError(
-                f"commuting matrix for {metapath} exceeds nnz budget {nnz_budget}"
+                f"commuting matrix for {metapath} exceeds nnz budget {NNZ_BUDGET}"
             )
         return product
 
@@ -264,9 +264,7 @@ def block_counts(
     return checked(left.astype(dtype, copy=False) @ right.astype(dtype, copy=False))
 
 
-def commuting_matrix(
-    graph: HinGraph, metapath: MetaPath, nnz_budget: int = DEFAULT_NNZ_BUDGET
-) -> CommutingMatrix:
+def commuting_matrix(graph: HinGraph, metapath: MetaPath) -> CommutingMatrix:
     """Matrix of path-instance counts; rows/cols are start/end type members."""
     rows = graph.type_members(metapath.source_type)
     cols = graph.type_members(metapath.target_type)
@@ -275,7 +273,7 @@ def commuting_matrix(
         metapath=metapath,
         row_entities=tuple(names[i] for i in rows.tolist()),
         col_entities=tuple(names[j] for j in cols.tolist()),
-        matrix=block_counts(graph, metapath, rows, cols, nnz_budget),
+        matrix=block_counts(graph, metapath, rows, cols),
     )
 
 

@@ -242,6 +242,19 @@ def test_report_row_without_probability_is_precondition(tmp_path, capsys):
     assert "probability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", "1e0"])
+def test_report_version_must_be_the_integer_1(tmp_path, capsys, version):
+    # JSON true and 1.0 compare equal to 1 in Python
+    report = tmp_path / "pred.jsonl"
+    report.write_text(
+        f'{{"report": "predict-lp", "version": {version}}}\n'
+        '{"probability": 0.3, "label": 0}\n'
+        '{"probability": 0.7, "label": 1}\n'
+    )
+    assert main(["eval-auc", "--predictions", str(report)]) == 3
+    assert "unsupported report version" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(tmp_path, g2_dir):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# no pairs\n")

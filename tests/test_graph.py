@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -428,10 +429,19 @@ class TestInvariants:
             (rng.choice(entities), f"r{rng.randint(0, 2)}", rng.choice(entities))
             for _ in range(rng.randint(1, 12))
         ]
-        shuffled = triples[:]
+        # an entity has no type row (untyped), one, or several, repeats
+        # allowed; "x" has type rows and no edge
+        types = [
+            (e, rng.choice(["TT", "UU", "VV"]))
+            for e in [*entities, "x"]
+            for _ in range(rng.choice([0, 0, 1, 1, 2, 3]))
+        ]
+        hier = [("TT", "Object"), ("UU", "Object"), ("VV", "TT")]
+        shuffled, shuffled_types = triples[:], types[:]
         random.Random(shuffle_seed).shuffle(shuffled)
-        a, _ = build_graph(triples)
-        b, _ = build_graph(shuffled)
+        random.Random(shuffle_seed).shuffle(shuffled_types)
+        a, _ = build_graph(triples, types, hier)
+        b, _ = build_graph(shuffled, shuffled_types, hier)
         assert a.entities == b.entities
         assert a.relations == b.relations
         for e in a.entities:
@@ -439,6 +449,42 @@ class TestInvariants:
                 for inv in (False, True):
                     rel = DirectedRelation(r, inv)
                     assert a.out_neighbors(e, rel) == b.out_neighbors(e, rel)
+
+        # types straight from the rows: every row's type, the root if none
+        ancestors = {"Object": {"Object"}, "TT": {"TT", "Object"}, "UU": {"UU", "Object"}}
+        ancestors["VV"] = {"VV", *ancestors["TT"]}
+        names = sorted({e for s, _, t in triples for e in (s, t)} | {e for e, _ in types})
+        assigned = {e: {t for x, t in types if x == e} or {"Object"} for e in names}
+        closed = {e: set().union(*map(ancestors.get, ts)) for e, ts in assigned.items()}
+        for graph in (a, b):
+            assert list(graph.entities) == names
+            for i, e in enumerate(names):
+                assert graph.assigned_types(e) == assigned[e]
+                assert graph.entity_types(e) == closed[e]
+                assert graph.closed_types_idx(i) == closed[e]
+            for t in ancestors:
+                members = [i for i, e in enumerate(names) if t in closed[e]]
+                assert graph.type_members(t).tolist() == members
+
+    def test_types_are_one_code_per_entity(self):
+        rng = random.Random(5)
+        entities = [f"e{i:02d}" for i in range(40)]
+        triples = [(rng.choice(entities), f"r{i % 3}", rng.choice(entities)) for i in range(60)]
+        # untyped, single-typed and multi-typed entities
+        types = [(e, t) for k, e in enumerate(entities) for t in rng.sample(["TT", "UU", "VV"], k % 3)]
+        graph, _ = build_graph(triples, types, [("TT", "Object"), ("UU", "Object"), ("VV", "TT")])
+        n = graph.n_entities
+        assert n > 30
+        per_entity = [
+            name for name, value in vars(graph).items()
+            if isinstance(value, Sequence) and len(value) == n and value is not graph.entities
+        ]
+        assert per_entity == []
+        assert graph._type_codes.shape == (n,) and graph._type_codes.dtype == np.uint8
+        # codes number the distinct sets in the order of their sorted members
+        assert list(map(sorted, graph._type_sets)) == sorted(map(sorted, graph._type_sets))
+        assert len(set(graph._type_sets)) == len(graph._type_sets)
+        assert np.unique(graph._type_codes).tolist() == list(range(len(graph._type_sets)))
 
     @given(
         triples=st.lists(

@@ -8,6 +8,7 @@ from hinwalk import (
     parse_metapath,
     top_k,
 )
+from hinwalk import walks
 from hinwalk.synth import BibliographicSpec, bibliographic_graph
 from corpus import oracle_counts, random_typed_graph
 
@@ -58,7 +59,7 @@ class TestBuildIndex:
         index = build_index(graph, [narrow, wide], [1.0, 1.0])
         assert index.score("p1", "g") == 2.0
 
-    def test_budget_bounds_outside_in_products(self):
+    def test_budget_bounds_outside_in_products(self, monkeypatch):
         # every product of the outside-in halves stays within the 64 stored
         # entries of the result; multiplied left to right, the Author x Paper
         # product after three steps would hold 93
@@ -66,7 +67,8 @@ class TestBuildIndex:
         path = parse_metapath(
             "Author -authorOf-> Paper -publishIn-> Venue -publishIn~-> Paper -authorOf~-> Author"
         )
-        index = build_index(graph, [path], nnz_budget=64)
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 64)
+        index = build_index(graph, [path])
         assert index.matrix.nnz == 64
 
     def test_theta_shape_mismatch(self, g2, p_star):

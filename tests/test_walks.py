@@ -21,6 +21,7 @@ from hinwalk import (
     walk_distribution,
     walk_probability,
 )
+from hinwalk import walks
 from hinwalk.walks import walk_mass
 from corpus import oracle_counts, oracle_distribution, random_typed_graph
 
@@ -346,10 +347,11 @@ class TestCommutingMatrix:
         with pytest.raises(UnknownRelationError):
             commuting_matrix(graph, parse_metapath("Venue -ghost-> Venue"))
 
-    def test_nnz_budget(self, g2, p_star):
+    def test_nnz_budget(self, g2, p_star, monkeypatch):
         graph, _ = g2
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 1)
         with pytest.raises(BudgetExceededError, match="nnz"):
-            commuting_matrix(graph, p_star, nnz_budget=1)
+            commuting_matrix(graph, p_star)
 
     @pytest.mark.parametrize("path", ["Object -found-> Object", "Person -found-> Organization"])
     def test_result_does_not_share_cached_step(self, g1, path):
