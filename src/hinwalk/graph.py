@@ -2,7 +2,9 @@
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
-string order), and the graph holds its own copies of them. Each relation
+string order), and the graph holds its own copies of them. A name is found
+by binary search in the sorted names (:func:`position`), so no name-keyed
+dict is kept beside them. Each relation
 direction is stored once, as the boolean compressed sparse row (CSR) matrix
 of its untyped step (:class:`StepMatrix`, row and column type both the
 root): row ``e`` holds entity ``e``'s neighbours, sorted, one ``True`` per
@@ -16,11 +18,12 @@ type sets and their closures under the hierarchy.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, count, filterfalse, repeat
-from operator import itemgetter
+from itertools import chain, count, filterfalse, islice, repeat
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,6 +67,26 @@ def _check_identifier(kind: str, name: str) -> None:
         raise ValueError(f"{kind} id {name!r} must not contain '->'")
     if kind == "relation" and name.endswith("~"):
         raise ValueError(f"relation id {name!r} must not end with '~'")
+
+
+def position(names: Sequence[str], name: str) -> int | None:
+    """Position of ``name`` in the strictly ascending ``names``, or ``None``
+    when it is absent."""
+    try:
+        i = bisect_left(names, name)
+        if names[i] == name:
+            return i
+    except (IndexError, TypeError):  # past the last name; a name no string compares with
+        pass
+    return None
+
+
+def check_sorted(row_entities: Sequence[str], col_entities: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless both name sequences are strictly
+    ascending, as :func:`position` needs to look names up in them."""
+    for kind, names in (("row", row_entities), ("col", col_entities)):
+        if not all(map(lt, names, islice(names, 1, None))):
+            raise ValueError(f"{kind}_entities must be strictly ascending")
 
 
 def _copies(kind: str, names: list[str]) -> list[str]:
@@ -209,6 +232,8 @@ class HinGraph:
     """Typed multigraph where every edge is queryable in both directions.
 
     Instances are immutable after construction; all query methods are pure.
+    ``entities`` and ``relations`` are sorted, and an entity's or relation's
+    index is its position there; names are looked up by binary search.
     The untyped step of every relation direction is its stored adjacency;
     type-filtered steps are cut from it and memoized per instance on first
     use. Build graphs with :func:`build_graph`, not by calling this
@@ -217,18 +242,16 @@ class HinGraph:
 
     def __init__(
         self,
-        entity_index: dict[str, int],
+        entities: Sequence[str],
         relations: Sequence[str],
         adjacency: Sequence[tuple[sp.csr_array, sp.csr_array]],
         type_codes: np.ndarray,
         type_sets: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
     ):
-        self.entities: tuple[str, ...] = tuple(entity_index)  # in index order
-        self.relations: tuple[str, ...] = tuple(relations)
+        self.entities: tuple[str, ...] = tuple(entities)  # sorted, in index order
+        self.relations: tuple[str, ...] = tuple(relations)  # sorted, in index order
         self.hierarchy = hierarchy
-        self._eindex = entity_index
-        self._rindex = {name: i for i, name in enumerate(self.relations)}
         root = hierarchy.root
         # seeded with each direction's untyped step, the one stored adjacency:
         # adjacency[relation][inverted] is its boolean edge matrix
@@ -263,7 +286,7 @@ class HinGraph:
         return [(r, inv) for r in range(len(self.relations)) for inv in (False, True)]
 
     def entity_index(self, entity: str) -> int:
-        idx = self._eindex.get(entity)
+        idx = position(self.entities, entity)
         if idx is None:
             raise UnknownEntityError(f"unknown entity {entity!r}")
         return idx
@@ -272,7 +295,7 @@ class HinGraph:
         return self.entities[idx]
 
     def relation_index(self, relation: str) -> int:
-        idx = self._rindex.get(relation)
+        idx = position(self.relations, relation)
         if idx is None:
             raise UnknownRelationError(f"unknown relation {relation!r}")
         return idx
@@ -315,7 +338,7 @@ class HinGraph:
         return len(self.entities)
 
     def has_entity(self, entity: str) -> bool:
-        return entity in self._eindex
+        return position(self.entities, entity) is not None
 
     def out_neighbors(self, entity: str, rel: DirectedRelation) -> list[str]:
         """Entities one step away via ``rel``; empty when there is none.
@@ -324,7 +347,7 @@ class HinGraph:
         from "entity has no neighbors under this relation".
         """
         e = self.entity_index(entity)
-        r = self._rindex.get(rel.name)
+        r = position(self.relations, rel.name)
         if r is None:
             return []
         return [self.entities[w] for w in self.neighbors_idx(e, r, rel.inverted)]
@@ -406,34 +429,37 @@ def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
 
 
 def _type_codes(
-    assignments: Sequence[tuple[str, str]], names: list[str], hierarchy: TypeHierarchy
+    entities: np.ndarray, types: np.ndarray, n: int, hierarchy: TypeHierarchy
 ) -> tuple[np.ndarray, list[frozenset[str]]]:
-    """The assigned type set of each of the sorted entity ``names`` as a
-    code, in the narrowest dtype that holds them, and the distinct sets the
-    codes number: one frozenset each, over the hierarchy's own strings, in
-    the order of their sorted members (so the same at every hash seed).
-    Each typed entity gets the type of its last row, and the types of its
-    other rows if it has more; an untyped entity gets the root."""
-    # each entity's last type, or the frozenset of its types if it has more
-    key: dict[str, str | frozenset[str]] = dict(
-        zip(_column(assignments, 0), _column(assignments, 1))
-    )
-    if len(key) < len(assignments):  # some entity has more than one row
-        more: dict[str, set[str]] = {}
-        pairs = set(zip(_column(assignments, 0), _column(assignments, 1)))
-        for entity, type_id in pairs.difference(key.items()):
-            more.setdefault(entity, {key[entity]}).add(type_id)
-        key.update((entity, frozenset(types)) for entity, types in more.items())
-    keys = set(key.values())
-    if len(key) < len(names):  # some entity is untyped
-        keys.add(hierarchy.root)
-    own = dict(zip(hierarchy.types, hierarchy.types))
-    sets = {k: frozenset(map(own.__getitem__, (k,) if isinstance(k, str) else k)) for k in keys}
-    order = sorted(keys, key=lambda k: sorted(sets[k]))
-    code = dict(zip(order, range(len(order))))
+    """The assigned type set of each of the ``n`` entities as a code, in the
+    narrowest dtype that holds them, and the distinct sets the codes number:
+    one frozenset each, over the hierarchy's own strings, in the order of
+    their sorted members (so the same at every hash seed). Type row ``k``
+    gives entity ``entities[k]`` the type ``hierarchy.types[types[k]]``; an
+    entity gets every distinct type of its rows, the root if it has none."""
+    names = hierarchy.types  # sorted: type indices order sets as their names do
+    k = len(names)
+    # the distinct (entity, type) pairs, by entity, then type
+    ent, typ = np.divmod(np.unique(entities.astype(np.int64) * k + types), k)
+    sizes = np.bincount(ent, minlength=n)
+    # the one type of an entity with at most one, the root's if it has none
+    single = np.full(n, names.index(hierarchy.root))
+    one = sizes[ent] == 1
+    single[ent[one]] = typ[one]  # one pair per entity: no index repeats
+    plain = sizes <= 1
+    multi = np.flatnonzero(~plain)
+    ends = np.cumsum(sizes)[multi].tolist()
+    multi_sets = [tuple(typ[e - z : e].tolist()) for e, z in zip(ends, sizes[multi].tolist())]
+    singles = np.unique(single[plain]).tolist()
+    order = sorted({*zip(singles), *multi_sets})
+    code = dict(zip(order, count()))
     dtype = np.min_scalar_type(max(len(order) - 1, 0))
-    keys_at = map(key.get, names, repeat(hierarchy.root))
-    return np.fromiter(map(code.__getitem__, keys_at), dtype, len(names)), [sets[k] for k in order]
+    table = np.zeros(k, dtype)
+    table[singles] = [code[t,] for t in singles]
+    codes = np.empty(n, dtype)
+    codes[plain] = table[single[plain]]
+    codes[multi] = [code[s] for s in multi_sets]
+    return codes, [frozenset(map(names.__getitem__, s)) for s in order]
 
 
 def build_graph(
@@ -455,15 +481,19 @@ def build_graph(
     triples = _rows(triples, 3)
     assignments = _rows(type_assignments, 2)
 
-    unknown = set(_column(assignments, 1)).difference(hierarchy.types)
-    if unknown:
-        entity, type_id = next(row for row in assignments if row[1] in unknown)
+    # each type row's index in the hierarchy's sorted types, -1 if absent
+    type_index = dict(zip(hierarchy.types, count()))
+    type_at = np.fromiter(
+        map(type_index.get, _column(assignments, 1), repeat(-1)), INDEX_DTYPE, len(assignments)
+    )
+    if (type_at < 0).any():
+        entity, type_id = assignments[int(np.argmax(type_at < 0))]
         raise UnknownTypeError(
             f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
         )
 
     # entity codes of sources, then targets, then typed entities; the last
-    # are read only to name entities that have no edge
+    # name entities that have no edge and give each type row its entity
     m = len(triples)
     names, codes = _codes(
         chain(_column(triples, 0), _column(triples, 2), _column(assignments, 0)),
@@ -471,12 +501,11 @@ def build_graph(
     )
     entities = _copies("entity", names)
     n = len(entities)
-    eindex = dict(zip(entities, range(n)))
     relation_names, rel = _codes(_column(triples, 1), m)
     for name in relation_names:
         _check_identifier("relation", name)
     relations = _copies("relation", relation_names)
-    type_codes, type_sets = _type_codes(assignments, names, hierarchy)
+    type_codes, type_sets = _type_codes(codes[2 * m :], type_at, n, hierarchy)
 
     # edges grouped by relation with one sort, not one full-length mask per
     # relation
@@ -487,5 +516,5 @@ def build_graph(
         s, t = src[order[a:b]], dst[order[a:b]]
         adjacency.append((_edges(s, t, n), _edges(t, s, n)))
 
-    graph = HinGraph(eindex, relations, adjacency, type_codes, type_sets, hierarchy)
+    graph = HinGraph(entities, relations, adjacency, type_codes, type_sets, hierarchy)
     return graph, hierarchy

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import UnknownEntityError
-from .graph import HinGraph
+from .graph import HinGraph, check_sorted, position
 from .metapath import MetaPath
-from .walks import block_counts, positions
+from .walks import block_counts
 
 
 @dataclass
 class SimilarityIndex:
-    """Weighted sum of per-meta-path instance counts, query-ready."""
+    """Weighted sum of per-meta-path instance counts, query-ready.
+
+    ``row_entities`` and ``col_entities`` are strictly ascending."""
 
     metapaths: tuple[MetaPath, ...]
     theta: np.ndarray
@@ -25,13 +26,12 @@ class SimilarityIndex:
     col_entities: tuple[str, ...]
     matrix: sp.csr_array  # float64, aligned to row/col entity order
 
-    @cached_property
-    def _positions(self) -> tuple[dict[str, int], dict[str, int]]:
-        return positions(self.row_entities), positions(self.col_entities)
+    def __post_init__(self) -> None:
+        check_sorted(self.row_entities, self.col_entities)
 
     def score(self, row: str, col: str) -> float:
-        i = self._positions[0].get(row)
-        j = self._positions[1].get(col)
+        i = position(self.row_entities, row)
+        j = position(self.col_entities, col)
         if i is None or j is None:
             raise UnknownEntityError(f"({row!r}, {col!r}) outside index entities")
         return float(self.matrix[i, j])
@@ -100,7 +100,7 @@ def top_k(index: SimilarityIndex, query: str, k: int) -> list[tuple[str, float]]
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    row = index._positions[0].get(query)
+    row = position(index.row_entities, query)
     if row is None:
         raise UnknownEntityError(f"query {query!r} is not a row entity of the index")
     start, end = index.matrix.indptr[row], index.matrix.indptr[row + 1]

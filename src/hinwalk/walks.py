@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceededError, UnknownEntityError, UnknownTypeError
-from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix
+from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix, check_sorted, position
 from .metapath import MetaPath, relations_only
 
 NNZ_BUDGET = 50_000_000  # stored entries per commuting-count product, read at call time
@@ -185,27 +184,23 @@ def instance_probability(graph: HinGraph, instance: list[str], metapath: MetaPat
     return prob
 
 
-def positions(names: Sequence[str]) -> dict[str, int]:
-    """Position of each name in a sequence of distinct names."""
-    return {name: i for i, name in enumerate(names)}
-
-
 @dataclass
 class CommutingMatrix:
-    """Path-instance counts between start-type and end-type entities."""
+    """Path-instance counts between start-type and end-type entities.
+
+    ``row_entities`` and ``col_entities`` are strictly ascending."""
 
     metapath: MetaPath
     row_entities: tuple[str, ...]
     col_entities: tuple[str, ...]
     matrix: sp.csr_array  # int64 counts, aligned to row/col entity order
 
-    @cached_property
-    def _positions(self) -> tuple[dict[str, int], dict[str, int]]:
-        return positions(self.row_entities), positions(self.col_entities)
+    def __post_init__(self) -> None:
+        check_sorted(self.row_entities, self.col_entities)
 
     def count(self, row: str, col: str) -> int:
-        i = self._positions[0].get(row)
-        j = self._positions[1].get(col)
+        i = position(self.row_entities, row)
+        j = position(self.col_entities, col)
         if i is None or j is None:
             raise UnknownEntityError(f"({row!r}, {col!r}) outside matrix entities")
         return int(self.matrix[i, j])
@@ -261,7 +256,10 @@ def block_counts(
     right = counts[-1] if len(cols) == n else counts[-1][:, cols]
     for step in reversed(counts[mid:-1]):
         right = checked(step @ right)
-    return checked(left.astype(dtype, copy=False) @ right.astype(dtype, copy=False))
+    # rebound, so the halves in their first dtype are freed before the product
+    left = left.astype(dtype, copy=False)
+    right = right.astype(dtype, copy=False)
+    return checked(left @ right)
 
 
 def commuting_matrix(graph: HinGraph, metapath: MetaPath) -> CommutingMatrix:
