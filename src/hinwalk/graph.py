@@ -1,4 +1,4 @@
-"""Immutable typed multigraph with bidirectional per-relation adjacency.
+"""Typed multigraph with bidirectional per-relation adjacency.
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
@@ -10,9 +10,11 @@ of its untyped step (:class:`StepMatrix`, row and column type both the
 root): row ``e`` holds entity ``e``'s neighbours, sorted, one ``True`` per
 distinct edge. Neighbour queries read these matrices, and the type-filtered
 steps the walk code multiplies (:meth:`HinGraph.step_matrix`) are cut from
-them. Each entity's types are kept once, as one small integer code (the
-narrowest unsigned dtype that holds it) into the graph's distinct assigned
-type sets and their closures under the hierarchy.
+them, and a cut that keeps every edge is the untyped step itself. Each
+entity's types are kept once, as one small integer code (the narrowest
+unsigned dtype that holds it) into the graph's distinct assigned type sets
+and their closures under the hierarchy; a type's members are derived from
+the codes when asked for (:meth:`HinGraph.type_members`).
 """
 
 from __future__ import annotations
@@ -231,13 +233,18 @@ class StepMatrix:
 class HinGraph:
     """Typed multigraph where every edge is queryable in both directions.
 
-    Instances are immutable after construction; all query methods are pure.
-    ``entities`` and ``relations`` are sorted, and an entity's or relation's
-    index is its position there; names are looked up by binary search.
-    The untyped step of every relation direction is its stored adjacency;
-    type-filtered steps are cut from it and memoized per instance on first
-    use. Build graphs with :func:`build_graph`, not by calling this
-    constructor directly.
+    Entities, edges and types do not change after construction, and every
+    query answers from them alone; the one state that grows is the step
+    memo (:meth:`step_matrix`). ``entities`` and ``relations`` are sorted,
+    and an entity's or relation's index is its position there; names are
+    looked up by binary search. The untyped step of every relation
+    direction is its stored adjacency. Type-filtered steps are memoized per
+    instance on first use: a filter that keeps every edge memoizes the
+    untyped step itself, and only a filter that drops an edge stores a cut.
+    So the memo holds at most one matrix per distinct (direction, row type,
+    column type) key asked for, and no cut is larger than its untyped step.
+    Build graphs with :func:`build_graph`, not by calling this constructor
+    directly.
     """
 
     def __init__(
@@ -268,15 +275,6 @@ class HinGraph:
         self._closed_sets: tuple[frozenset[str], ...] = tuple(
             frozenset().union(*map(hierarchy.ancestors, types)) for types in self._type_sets
         )
-        # entities grouped by assigned type set, ascending within each group
-        order, runs = _runs(type_codes, len(self._type_sets))
-        members: dict[str, list[np.ndarray]] = {}
-        for full, (a, b) in zip(self._closed_sets, runs):
-            for t in full:
-                members.setdefault(t, []).append(order[a:b].astype(INDEX_DTYPE))
-        self._type_members = {t: np.sort(np.concatenate(g)) for t, g in members.items()}
-        for arr in self._type_members.values():
-            arr.flags.writeable = False  # shared with every caller of type_members
 
     # -- index-level access (used by the walk and search internals) --
 
@@ -317,18 +315,24 @@ class HinGraph:
         self, relation: int, inverted: bool, row_type: str, col_type: str
     ) -> StepMatrix:
         """The relation's adjacency with rows kept for ``row_type`` members and
-        columns for ``col_type`` members, cut from its untyped step."""
+        columns for ``col_type`` members, cut from its untyped step; the
+        untyped step itself when the cut would keep every edge."""
         key = (relation, inverted, row_type, col_type)
         step = self._steps.get(key)
         if step is None:
             root = self.hierarchy.root
-            edges = self._steps[relation, inverted, root, root].edges
+            untyped = self._steps[relation, inverted, root, root]
+            edges = untyped.edges
             n = self.n_entities
             rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(edges.indptr))
             keep = np.isin(rows, self.type_members(row_type))
             keep &= np.isin(edges.indices, self.type_members(col_type))
-            cut = sp.csr_array((edges.data[keep], (rows[keep], edges.indices[keep])), shape=(n, n))
-            step = self._steps[key] = StepMatrix(cut)
+            if keep.all():  # the cut would equal the untyped step
+                step = untyped
+            else:
+                cut = sp.csr_array((edges.data[keep], (rows[keep], edges.indices[keep])), shape=(n, n))
+                step = StepMatrix(cut)
+            self._steps[key] = step
         return step
 
     # -- name-level API --
@@ -378,10 +382,13 @@ class HinGraph:
         return self.hierarchy.lca_of_set(frozenset().union(*type_sets))
 
     def type_members(self, type_id: str) -> np.ndarray:
-        """Sorted indices of entities whose closed type set contains ``type_id``."""
+        """Sorted indices of entities whose closed type set contains ``type_id``,
+        as a new int32 array on every call: derived from the type codes in
+        O(n), not stored."""
         if type_id not in self.hierarchy:
             raise UnknownTypeError(f"unknown type {type_id!r}")
-        return self._type_members.get(type_id, np.zeros(0, dtype=INDEX_DTYPE))
+        has_type = np.array([type_id in closed for closed in self._closed_sets], dtype=bool)
+        return np.flatnonzero(has_type[self._type_codes]).astype(INDEX_DTYPE)
 
 
 def _edges(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_array:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -41,17 +40,6 @@ class ScoreMatrix:
                 f"score matrix shape {self.values.shape} does not match "
                 f"{len(self.pairs)} pairs x {len(self.metapaths)} meta-paths"
             )
-
-    @cached_property
-    def _pair_pos(self) -> dict[tuple[str, str], int]:
-        # reversed, so that a repeated pair maps to its first row
-        return {pair: i for i, pair in reversed(list(enumerate(self.pairs)))}
-
-    def score(self, pair: tuple[str, str], metapath_index: int) -> float:
-        i = self._pair_pos.get(pair)
-        if i is None:
-            raise ValueError(f"pair {pair} is not a row of the score matrix")
-        return float(self.values[i, metapath_index])
 
 
 def combine_scores(scores: Sequence[float], theta: Sequence[float]) -> float:

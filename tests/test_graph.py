@@ -311,6 +311,72 @@ class TestNeighbors:
             assert np.shares_memory(step.walk.indices, step.edges.indices)
 
 
+class TestSteps:
+    def test_cut_keeping_every_edge_is_the_untyped_step(self, g1):
+        graph, _ = g1
+        r = graph.relation_index("found")
+        for inv, row_type, col_type in [
+            (False, "Person", "Company"),
+            (False, "Person", "Organization"),
+            (False, "Object", "Company"),
+            (True, "Company", "Person"),
+        ]:
+            untyped = graph.step_matrix(r, inv, "Object", "Object")
+            assert graph.step_matrix(r, inv, row_type, col_type) is untyped
+
+    def test_cut_dropping_an_edge_is_its_own_smaller_step(self):
+        # g1 plus one edge that no Person -> Company schema allows
+        graph, _ = build_graph(G1_TRIPLES + [("g", "found", "p1")], G1_TYPES, G1_HIERARCHY)
+        r = graph.relation_index("found")
+        untyped = graph.step_matrix(r, False, "Object", "Object")
+        typed = graph.step_matrix(r, False, "Person", "Company")
+        assert typed is not untyped
+        assert graph.step_matrix(r, False, "Person", "Company") is typed  # memoized
+        assert untyped.edges.nnz == 3 and typed.edges.nnz == 2
+        g, p1, p2 = map(graph.entity_index, ("g", "p1", "p2"))
+        assert sorted(zip(*typed.edges.nonzero())) == [(p1, g), (p2, g)]
+        assert typed.edges.dtype == bool and typed.edges.shape == untyped.edges.shape
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_typed_steps_match_a_name_level_cut(self, seed, data):
+        graph, hierarchy = random_typed_graph(seed)
+        types = st.sampled_from(hierarchy.types)
+        row_type, col_type = data.draw(types), data.draw(types)
+        root = hierarchy.root
+        for r, inv in graph.directions:
+            expected = sorted(
+                (e, w)
+                for e, name in enumerate(graph.entities)
+                if row_type in graph.entity_types(name)
+                for w in graph.neighbors_idx(e, r, inv)
+                if col_type in graph.entity_types(graph.entity_name(w))
+            )
+            step = graph.step_matrix(r, inv, row_type, col_type)
+            untyped = graph.step_matrix(r, inv, root, root)
+            assert step.edges.dtype == bool and step.edges.data.all()
+            assert sorted(zip(*map(np.ndarray.tolist, step.edges.nonzero()))) == expected
+            assert (step is untyped) == (len(expected) == untyped.edges.nnz)
+
+    def test_type_members_is_a_new_array_each_call(self, g1):
+        graph, _ = g1
+        first = graph.type_members("Person")
+        assert first.dtype == np.int32 and first.tolist() == [1, 2]
+        first[:] = 0
+        assert graph.type_members("Person").tolist() == [1, 2]
+        with pytest.raises(UnknownTypeError):
+            graph.type_members("Nobody")
+
+    def test_graph_keeps_no_type_member_store(self):
+        graph, hierarchy = random_typed_graph(3)
+        state = dict(vars(graph))
+        for t in hierarchy.types:
+            graph.type_members(t)
+        assert vars(graph) == state  # nothing cached on a call
+        assert [name for name, v in state.items() if isinstance(v, np.ndarray)] == ["_type_codes"]
+        assert not any(isinstance(v, dict) and any(map(hierarchy.__contains__, v)) for v in state.values())
+
+
 class TestEntityTypes:
     def test_ancestor_closure(self, g1):
         graph, _ = g1
