@@ -11,12 +11,20 @@ comment lines and blank lines ignored:
 Weight defaults to 1.0; the label column (0 or 1) is only used for link
 prediction training and evaluation. Reports are JSON lines with a versioned
 header record followed by one record per result row.
+
+The canonical writers (``write_edges``, ``write_types``, ``write_hierarchy``
+and ``write_examples``) write sorted, unique lines, so the same records give
+the same bytes in any order and under any hash seed. They sort the records
+themselves and write the lines a block at a time, holding one reference per
+record plus one block of lines beside the caller's records.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import itemgetter, le
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -201,9 +209,47 @@ def pair_set_from_rows(rows: Iterable[ExampleRow]) -> ExamplePairSet:
 # -- canonical writers: sorted unique records, stable across round trips --
 
 
+# Lines per block written by _write_sorted: a few thousand, so the block's
+# text stays small beside the records while writes stay few
+_WRITE_LINES = 4096
+
+
 def _write_lines(path: Path, records: Iterable[tuple]) -> None:
-    lines = sorted("\t".join(str(f) for f in rec) for rec in set(records))
+    """Write ``records`` as the sorted, unique lines of their tab-joined
+    fields, each field as ``str`` gives it.
+
+    It sorts the records themselves and writes their lines a block at a
+    time, so it holds one reference per record and one block of lines.
+    Sorted records give sorted lines when every field is a ``str`` with no
+    tab and no character below tab, which is checked line by line while
+    writing. Records that break that order, that have a field other than a
+    ``str`` or that cannot be compared are sorted by their lines instead
+    and written as one text, so every input gives the same bytes either way.
+    """
+    rows = list(records)
+    try:
+        rows.sort()
+        if _write_sorted(path, rows):
+            return
+    except TypeError:
+        pass
+    lines = sorted("\t".join(str(f) for f in rec) for rec in set(rows))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def _write_sorted(path: Path, rows: list[tuple]) -> bool:
+    """Write the lines of sorted ``rows``, one per run of equal records;
+    False, with the file incomplete, once a line would sort before the line
+    written before it."""
+    lines = map("\t".join, map(itemgetter(0), groupby(rows)))
+    with open(path, "w", encoding="utf-8") as fh:
+        last = ""
+        while block := list(islice(lines, _WRITE_LINES)):
+            if not all(map(le, [last, *block], block)):
+                return False
+            fh.write("\n".join(block) + "\n")
+            last = block[-1]
+    return True
 
 
 def write_edges(path: str | Path, triples: Iterable[tuple[str, str, str]]) -> None:

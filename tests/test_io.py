@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -291,6 +293,82 @@ class TestRoundTrip:
                 for inv in (False, True):
                     d = DirectedRelation(rel, inv)
                     assert once.graph.out_neighbors(e, d) == parsed.graph.out_neighbors(e, d)
+
+
+def _reference_write_lines(path, records):
+    """The writers' contract: the sorted lines of the distinct records'
+    tab-joined fields, each field as ``str`` gives it."""
+    lines = sorted("\t".join(str(f) for f in rec) for rec in set(records))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+@st.composite
+def _writer_cases(draw):
+    """A public writer and its records, over a few names that include
+    prefixes of one another, non-ASCII letters, a tab and characters below
+    tab, with some records repeated."""
+    name = st.text("ab\x00\x05\x08\té名", min_size=1, max_size=4)
+    pool = draw(st.lists(name, min_size=1, max_size=5))
+    pool += [n[:-1] for n in pool if len(n) > 1]
+    field = st.sampled_from(pool)
+    write = draw(st.sampled_from([write_edges, write_types, write_hierarchy, write_examples]))
+    if write is write_examples:
+        weight = st.floats(0, 10, allow_nan=False) | st.sampled_from([1.0, 0.1, 2.5])
+        record = st.builds(ExampleRow, field, field, weight, st.sampled_from([None, 0, 1]))
+    else:
+        record = st.tuples(*[field] * (3 if write is write_edges else 2))
+    records = draw(st.lists(record, max_size=30))
+    if records:
+        records += draw(st.lists(st.sampled_from(records), max_size=5))
+    return write, records
+
+
+class TestWriters:
+    @given(
+        case=_writer_cases(),
+        container=st.sampled_from([list, set, iter]),
+        block=st.sampled_from([1, 2, 4096]),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_reference_writer(self, tmp_path, case, container, block):
+        write, records = case
+        with mock.patch.object(hio, "_write_lines", _reference_write_lines):
+            write(tmp_path / "expected.tsv", container(records))
+        with mock.patch.object(hio, "_WRITE_LINES", block):
+            write(tmp_path / "written.tsv", container(records))
+        assert (tmp_path / "written.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [("b", 2), ("a", 1), ("b", 2)],  # fields that are not str
+            [(1, "a"), ("x", "b"), (1, "a")],  # records that cannot be compared
+            [(1,), (1.0,), ("1",)],  # equal records that print differently
+            ["ba", "ab", "ba"],  # strings as records of one-character fields
+        ],
+    )
+    def test_other_records_equal_reference_writer(self, tmp_path, records):
+        _reference_write_lines(tmp_path / "expected.tsv", records)
+        write_edges(tmp_path / "written.tsv", records)
+        assert (tmp_path / "written.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+
+    def test_write_edges_holds_one_block_of_lines(self, tmp_path):
+        # 20k distinct triples in no order: one reference per record and one
+        # block of lines trace about 0.8 MB; a set of the records, a string per
+        # line and the file's text and encoding at once trace about 3.6 MB
+        triples = [(f"e{i:05d}", f"r{i % 7}", f"e{i * 7919 % 20_000:05d}") for i in range(20_000)]
+        random.Random(0).shuffle(triples)
+        given_order = list(triples)
+        tracemalloc.start()
+        try:
+            write_edges(tmp_path / "edges.tsv", triples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert triples == given_order
+        lines = (tmp_path / "edges.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines == sorted("\t".join(t) for t in triples)
 
 
 class TestReports:
