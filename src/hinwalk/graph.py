@@ -474,7 +474,9 @@ def build_graph(
     type_assignments: Iterable[tuple[str, str]] = (),
     hierarchy_edges: Iterable[tuple[str, str]] = (),
 ) -> tuple[HinGraph, TypeHierarchy]:
-    """Build an immutable graph plus hierarchy from edge and type listings.
+    """Build a graph plus hierarchy from edge and type listings; the graph's
+    entities, edges and types do not change afterwards (only its step memo
+    grows, see :class:`HinGraph`).
 
     Duplicate triples collapse to a single edge. Every edge is materialized in
     both directions. Entities without a type assignment get ``{Object}``.
@@ -483,6 +485,8 @@ def build_graph(
 
     Every name the graph and hierarchy keep is a new string made here (see
     :func:`_copies`), so dropping the caller's rows frees their memory.
+    While the adjacency is built, what is held beside the rows and the graph
+    is one relation-ordered int32 copy of each edge's source and target.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
     triples = _rows(triples, 3)
@@ -514,13 +518,18 @@ def build_graph(
     relations = _copies("relation", relation_names)
     type_codes, type_sets = _type_codes(codes[2 * m :], type_at, n, hierarchy)
 
-    # edges grouped by relation with one sort, not one full-length mask per
-    # relation
-    src, dst = codes[:m], codes[m : 2 * m]
+    # each edge's source and target gathered into relation order once (one
+    # sort, not one full-length mask per relation), through an int32 copy of
+    # the permutation; the whole-file codes, the relation codes and the
+    # permutation are dropped before the first CSR is built
     order, runs = _runs(rel, len(relations))
+    del rel
+    order = order.astype(INDEX_DTYPE)
+    src, dst = codes[:m][order], codes[m : 2 * m][order]
+    del codes, order
     adjacency = []
     for a, b in runs:
-        s, t = src[order[a:b]], dst[order[a:b]]
+        s, t = src[a:b], dst[a:b]
         adjacency.append((_edges(s, t, n), _edges(t, s, n)))
 
     graph = HinGraph(entities, relations, adjacency, type_codes, type_sets, hierarchy)

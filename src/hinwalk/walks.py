@@ -165,23 +165,33 @@ def enumerate_path_instances(
     return out
 
 
-def instance_probability(graph: HinGraph, instance: list[str], metapath: MetaPath) -> float:
-    """Probability of one concrete instance: product of uniform step choices.
+def instance_probabilities(
+    graph: HinGraph, instances: Iterable[Sequence[str]], metapath: MetaPath
+) -> list[float]:
+    """Probability of each concrete instance of one meta-path: the product of
+    its uniform step choices. The meta-path is resolved once for all of them.
 
     Independent of the forward pass; each factor is 1 / (number of qualifying
     neighbors at that step), recomputed from the adjacency.
     """
-    steps = _resolve(graph, metapath)
+    steps = list(zip(_resolve(graph, metapath), metapath.node_types[1:]))
     root = graph.hierarchy.root
-    prob = 1.0
-    for depth, (ridx, inv) in enumerate(steps):
-        e = graph.entity_index(instance[depth])
-        next_type = metapath.node_types[depth + 1]
-        neigh = graph.neighbors_idx(e, ridx, inv)
-        if next_type != root:
-            neigh = [w for w in neigh if next_type in graph.closed_types_idx(w)]
-        prob /= len(neigh)
-    return prob
+    probs = []
+    for instance in instances:
+        prob = 1.0
+        for depth, ((ridx, inv), next_type) in enumerate(steps):
+            e = graph.entity_index(instance[depth])
+            neigh = graph.neighbors_idx(e, ridx, inv)
+            if next_type != root:
+                neigh = [w for w in neigh if next_type in graph.closed_types_idx(w)]
+            prob /= len(neigh)
+        probs.append(prob)
+    return probs
+
+
+def instance_probability(graph: HinGraph, instance: Sequence[str], metapath: MetaPath) -> float:
+    """Probability of one concrete instance (see :func:`instance_probabilities`)."""
+    return instance_probabilities(graph, [instance], metapath)[0]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import random
 
-from hinwalk import build_graph, enumerate_path_instances, instance_probability
+from hinwalk import build_graph, enumerate_path_instances, instance_probabilities
 
 
 def random_typed_graph(seed, max_entities=24, max_relations=4):
@@ -44,10 +44,13 @@ def random_example_pairs(graph, seed, n=2):
 
 def oracle_distribution(graph, source, metapath, cap=500_000):
     """Walk mass per end entity, from exhaustive path-instance enumeration."""
+    instances = enumerate_path_instances(graph, source, metapath, cap)
+    if not instances:  # most sources have none; the enumeration checked the path
+        return {}
     sums = {}
-    for inst in enumerate_path_instances(graph, source, metapath, cap):
+    for inst, prob in zip(instances, instance_probabilities(graph, instances, metapath)):
         end = inst[-1]
-        sums[end] = sums.get(end, 0.0) + instance_probability(graph, inst, metapath)
+        sums[end] = sums.get(end, 0.0) + prob
     return sums
 
 

@@ -1,11 +1,12 @@
 import random
 import re
 import sys
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hinwalk import (
@@ -19,7 +20,7 @@ from hinwalk import (
     parse_metapath,
 )
 from hinwalk import io as hio
-from hinwalk.graph import _ID, _check_identifier, _codes, _copies
+from hinwalk.graph import _ID, _check_identifier, _codes, _copies, _edges
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -47,6 +48,28 @@ def _state(graph, hierarchy):
     members = {t: (a.dtype.str, a.tolist()) for t in hierarchy.types for a in [graph.type_members(t)]}
     types = [(graph.assigned_types(e), graph.entity_types(e)) for e in graph.entities]
     return graph.entities, graph.relations, hierarchy.types, types, members, arrays
+
+
+def _reference_edges(triples, assignments):
+    """Every direction's edge matrix, in ``HinGraph.directions`` order, from
+    one ``_edges`` call per relation on the endpoints of that relation's run
+    in an int64 stable argsort of the rows' relation indices."""
+    names = sorted({e for s, _, t in triples for e in (s, t)} | {e for e, _ in assignments})
+    relations = sorted({r for _, r, _ in triples})
+
+    def indices(column, within):
+        return np.array([within.index(name) for name in column], dtype=np.int32)
+
+    src = indices([s for s, _, _ in triples], names)
+    dst = indices([t for _, _, t in triples], names)
+    rel = indices([r for _, r, _ in triples], relations)
+    order = np.argsort(rel, kind="stable").astype(np.int64)
+    edges = []
+    for r in range(len(relations)):
+        run = order[rel[order] == r]
+        s, t = src[run], dst[run]
+        edges += [_edges(s, t, len(names)), _edges(t, s, len(names))]
+    return edges
 
 
 class TestBuildGraph:
@@ -129,6 +152,71 @@ class TestBuildGraph:
             b = generated.step_matrix(*d, root, root).edges
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
+
+    # e1 .. e5 have edges; x1 and x2 appear only in type rows
+    @example(triples=[], assignments=[])
+    @example(  # one relation, with a duplicate and a self-loop
+        triples=[("e2", "ra", "e1"), ("e1", "ra", "e2"), ("e2", "ra", "e1"), ("e3", "ra", "e3")],
+        assignments=[("x1", "TT"), ("e2", "UU")],
+    )
+    @example(  # many relations with one edge each, in no sorted order
+        triples=[(f"e{i % 5 + 1}", f"r{7 * i % 12:02d}", f"e{(i + 2) % 5 + 1}") for i in range(12)],
+        assignments=[("x2", "UU")],
+    )
+    @example(  # rows in reverse sorted order
+        triples=sorted([(f"e{i % 5 + 1}", f"r{i % 3:02d}", f"e{i % 4 + 1}") for i in range(20)])[::-1],
+        assignments=[],
+    )
+    @given(
+        triples=st.lists(
+            st.tuples(
+                st.sampled_from(["e3", "e1", "e5", "e2", "e4"]),
+                st.sampled_from([f"r{i:02d}" for i in (7, 2, 11, 0, 5, 9, 1, 4, 10, 3, 8, 6)]),
+                st.sampled_from(["e3", "e1", "e5", "e2", "e4"]),
+            ),
+            max_size=40,
+        ),
+        assignments=st.lists(
+            st.tuples(st.sampled_from(["e1", "e4", "x1", "x2"]), st.sampled_from(["TT", "UU"])),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_adjacency_equals_reference(self, triples, assignments):
+        graph, hierarchy = build_graph(triples, assignments, [("TT", "Object"), ("UU", "Object")])
+        root = hierarchy.root
+        got = [graph.step_matrix(*d, root, root).edges for d in graph.directions]
+        want = _reference_edges(triples, assignments)
+        assert len(got) == len(want) == 2 * len({r for _, r, _ in triples})
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y)
+            assert a.has_canonical_format == b.has_canonical_format
+
+    def test_build_holds_one_copy_of_the_endpoints(self):
+        # 60k random triples over 2,000 entities and 30 relations, so the 60
+        # directions' CSRs are built last and set the peak: with one int32
+        # relation-ordered copy of each edge's sources and targets beside the
+        # graph, the peak above what the graph keeps traces about 0.52 MB;
+        # with the int32 codes of every row, the relation codes and an int64
+        # permutation all alive as well, about 1.26 MB
+        rng = random.Random(0)
+        names = [f"e{i:05d}" for i in range(2_000)]
+        relations = [f"r{i:02d}" for i in range(30)]
+        triples = [(rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(60_000)]
+        types = [(e, "TT") for e in names[::2]]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph, _ = build_graph(triples, types, [("TT", "Object")])
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.n_entities == 2_000 and len(graph.directions) == 60
+        assert kept - before > 1_000_000  # the graph: indptr, indices and data of 60 CSRs
+        assert peak - kept < 12 * len(triples)
 
     def test_multi_typed_entities_share_type_sets(self):
         graph, _ = build_graph(

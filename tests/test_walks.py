@@ -16,6 +16,7 @@ from hinwalk import (
     commuting_matrix,
     enumerate_metapaths,
     enumerate_path_instances,
+    instance_probabilities,
     parse_metapath,
     relations_only,
     walk_distribution,
@@ -157,6 +158,22 @@ class TestEnumerateInstances:
         graph, _ = g2
         with pytest.raises(BudgetExceededError, match="2"):
             enumerate_path_instances(graph, "v1", p_star, max_instances=2)
+
+    def test_probabilities_resolve_the_path_once(self, g2, p_star, monkeypatch):
+        graph, _ = g2
+        instances = enumerate_path_instances(graph, "v1", p_star)
+        calls = []
+        resolve = walks._resolve
+        monkeypatch.setattr(walks, "_resolve", lambda *a: calls.append(a) or resolve(*a))
+        assert sum(instance_probabilities(graph, instances, p_star)) == pytest.approx(1.0)
+        assert len(calls) == 1
+
+    def test_probabilities_check_the_path_without_instances(self, g1):
+        graph, _ = g1
+        with pytest.raises(UnknownTypeError):
+            instance_probabilities(graph, [], parse_metapath("Person -found-> Ghost"))
+        with pytest.raises(UnknownRelationError):
+            instance_probabilities(graph, [], parse_metapath("Person -owns-> Organization"))
 
 
 class TestOracleEquivalence:
