@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 file or argument parse error, 3 precondition or
-validation error, 4 work budget exhausted. Human-readable text goes to
-stdout; machine-readable reports are written to ``--output`` and never
-interleave with it.
+validation error, 4 work budget exhausted (a product over ``walks.NNZ_BUDGET``
+included). Human-readable text goes to stdout; machine-readable reports are
+written to ``--output`` and never interleave with it.
 """
 
 from __future__ import annotations
@@ -210,10 +210,10 @@ def _generated_index_paths(args, parsed) -> list:
     result = generate_paths(parsed.graph, examples, _search_config(args))
     query_types = parsed.graph.entity_types(args.query)
     candidates = [p.metapath for p in result.paths if p.metapath.source_type in query_types]
-    if not candidates:
-        raise ValueError(
-            f"no generated meta-path starts at the query's types; "
-            f"got {len(result.paths)} paths from {len(examples)} example pairs"
+    if not candidates:  # a search stopped by a budget is a budget error
+        raise (BudgetExceededError if result.status == "budget" else ValueError)(
+            f"no generated meta-path starts at the query's types; got {len(result.paths)} "
+            f"paths from {len(examples)} example pairs (search status {result.status})"
         )
     first = candidates[0]
     return [

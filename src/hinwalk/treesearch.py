@@ -50,10 +50,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import BudgetExceededError
 from .graph import DirectedRelation, HinGraph
 from .metapath import MetaPath
-from .models import ScoreMatrix
-from .walks import walk_mass
+from .walks import sparse_product, walk_mass
 
 # Frontier keys compare priorities rounded to this many decimals, so that
 # mathematically equal priorities whose float sums differ in the last bit
@@ -129,7 +129,6 @@ class GeneratedPath:
 @dataclass
 class PathGenerationResult:
     paths: tuple[GeneratedPath, ...]
-    matrix: ScoreMatrix
     status: str  # "ok" | "exhausted" | "budget"
     tree: "SearchTree"
 
@@ -276,7 +275,7 @@ class SearchTree:
             indptr = step.edges.indptr
             if not (indptr[after] > indptr[cols]).any():
                 continue  # no entity of the node has an out-edge: the product is empty
-            mass = parent_mass @ step.walk
+            mass = sparse_product(parent_mass, step.walk)
             if not mass.nnz:
                 continue
             # the child keeps its count and score; its mass is made again if it is popped
@@ -293,7 +292,7 @@ class SearchTree:
         product that created it, made again from its expanded parent."""
         mass = node.tuples.mass
         if mass is None:
-            mass = node.parent.tuples.mass @ self._steps[node.relseq[-1]].walk
+            mass = sparse_product(node.parent.tuples.mass, self._steps[node.relseq[-1]].walk)
         return mass
 
     def _keep_mass(self, node: TreeNode) -> sp.csr_array:
@@ -333,27 +332,30 @@ class SearchTree:
     def next_path(self) -> GeneratedPath | None:
         """Run the search until one more meta-path is emitted.
 
-        Returns None on exhaustion: empty frontier, node budget exceeded, or
-        nothing left below the depth limit; ``status`` says which.
+        Returns None on exhaustion: empty frontier, node or nnz budget exceeded
+        (after which it stays stopped), or nothing left below the depth limit;
+        ``status`` says which.
         """
-        while True:
-            if self.nodes_created > self.config.node_budget:
-                self.status = "budget"
-                return None
-            if not self._frontier:
-                self.status = "exhausted"
-                return None
-            key, node = heapq.heappop(self._frontier)
-            if node.has_pair and not node.emitted:
-                node.emitted = True
-                self._record("emit", node, key)
-                heapq.heappush(self._frontier, (key, node))
-                return self._emit(node)
-            if node.depth >= self.config.max_depth:
-                self._record("drop", node, key)
-                continue
-            self._record("expand", node, key)
-            self.expand_node(node)
+        try:
+            while self.status != "budget" and self.nodes_created <= self.config.node_budget:
+                if not self._frontier:
+                    self.status = "exhausted"
+                    return None
+                key, node = heapq.heappop(self._frontier)
+                if node.has_pair and not node.emitted:
+                    node.emitted = True
+                    self._record("emit", node, key)
+                    heapq.heappush(self._frontier, (key, node))
+                    return self._emit(node)
+                if node.depth >= self.config.max_depth:
+                    self._record("drop", node, key)
+                    continue
+                self._record("expand", node, key)
+                self.expand_node(node)
+        except BudgetExceededError:  # a product refused over walks.NNZ_BUDGET
+            pass
+        self.status = "budget"
+        return None
 
 
 def generate_paths(
@@ -364,9 +366,10 @@ def generate_paths(
 ) -> PathGenerationResult:
     """Emit up to ``config.max_paths`` meta-paths from one persistent tree.
 
-    The score matrix has one row per example pair (input order) and one
-    column per emitted path; entries are 0 where a pair does not appear in
-    the path's node. Zero paths found is a normal, distinguishable outcome.
+    Each path's ``scores`` map the example pairs its node reaches, in input
+    order, to their walk probabilities. Zero paths found is a normal outcome;
+    a search stopped by the node or nnz budget returns the paths emitted so
+    far with ``status`` "budget".
     """
     config = config or SearchConfig()
     tree = SearchTree(graph, examples, config, record_trace=record_trace)
@@ -376,15 +379,5 @@ def generate_paths(
         if emitted is None:
             break
         paths.append(emitted)
-
-    values = np.zeros((len(examples.pairs), len(paths)))
-    for j, p in enumerate(paths):
-        for i, pair in enumerate(examples.pairs):
-            values[i, j] = p.scores.get(pair, 0.0)
-    matrix = ScoreMatrix(
-        pairs=examples.pairs,
-        metapaths=tuple(p.metapath for p in paths),
-        values=values,
-    )
     status = "ok" if len(paths) == config.max_paths else tree.status
-    return PathGenerationResult(tuple(paths), matrix, status, tree)
+    return PathGenerationResult(tuple(paths), status, tree)

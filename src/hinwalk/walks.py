@@ -7,25 +7,27 @@ dropped, never renormalized, so the result is a true walk probability and the
 per-source masses sum to at most 1.
 
 Every traversal, here and in the tree search, is one sparse product per
-step, ``mass @ step``, with a directed relation's adjacency restricted to the
-step's node types (:meth:`HinGraph.step_matrix`): row-normalised it moves
-walk mass, as raw counts it counts path instances (the commuting matrix),
-as booleans it marks reachable entities (meta-path enumeration). No product
-is made, and no matrix kept, whose entries nobody reads: enumeration asks
-of a sequence only whether its last hop meets the target type, so it tests
-a whole level with one boolean product against a sparse entities x
-directions "has an edge into the targets" matrix, stacks reachable sets only
-for the sequences that are extended further, and tests each next-to-last
-reachable set against every last hop as soon as it is made; the tree search
-multiplies only the directions in which the node's entities have an edge,
-and keeps the walk mass of only the nodes it pops, making a frontier node's
-mass again from its parent when it is needed (:mod:`hinwalk.treesearch`).
-Commuting counts are built inside their row x column block as two half-path
-products that grow from the outside in, from the rows and from the columns,
-and meet in the middle in one final product (:func:`block_counts`); the
-module constant ``NNZ_BUDGET`` bounds every one of these products. The
-similarity index multiplies the halves in float64, which is exact for
-counts below 2**53.
+step, made by :func:`sparse_product`, with a directed relation's adjacency
+restricted to the step's node types (:meth:`HinGraph.step_matrix`):
+row-normalised it moves walk mass, as raw counts it counts path instances
+(the commuting matrix), as booleans it marks reachable entities (meta-path
+enumeration). A product storing more than ``NNZ_BUDGET`` entries raises
+:class:`BudgetExceededError`. No product is made, and no matrix kept, whose
+entries nobody reads: enumeration asks of a sequence only whether its last
+hop meets the target type, so it tests a whole level with one boolean
+product against a sparse entities x directions "has an edge into the
+targets" matrix, stacks reachable sets only for the sequences that are
+extended further, and tests each next-to-last reachable set against every
+last hop as soon as it is made; the tree search multiplies only the
+directions in which the node's entities have an edge, and keeps the walk
+mass of only the nodes it pops, making a frontier node's mass again from its
+parent when it is needed (:mod:`hinwalk.treesearch`). Commuting counts are
+built inside their row x column block as two half-path products that grow
+from the outside in, from the rows and from the columns, and meet in the
+middle in one final product (:func:`block_counts`). The similarity index
+multiplies the halves in float64, which is exact for counts below 2**53. One
+source's walk (:func:`walk_distribution`) moves a dense vector instead, far
+cheaper than a one-row product.
 
 Two deliberately independent routes exist for every quantity: the sparse
 products here, and exhaustive depth-first enumeration of concrete path
@@ -46,8 +48,20 @@ from .errors import BudgetExceededError, UnknownEntityError, UnknownTypeError
 from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix, check_sorted, position
 from .metapath import MetaPath, relations_only
 
-NNZ_BUDGET = 50_000_000  # stored entries per commuting-count product, read at call time
+NNZ_BUDGET = 50_000_000  # stored entries per sparse product, read at call time
 DEFAULT_INSTANCE_CAP = 100_000
+
+
+def sparse_product(left: sp.csr_array, right: sp.csr_array) -> sp.csr_array:
+    """``left @ right``, refused once it stores more than ``NNZ_BUDGET`` entries."""
+    return _within_budget(left @ right)
+
+
+def _within_budget(matrix: sp.csr_array) -> sp.csr_array:
+    if matrix.nnz > NNZ_BUDGET:
+        raise BudgetExceededError(
+            f"{matrix.nnz} entries of shape {matrix.shape} exceed nnz budget {NNZ_BUDGET}")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,7 @@ def walk_mass(graph: HinGraph, sources: Sequence[int], metapath: MetaPath) -> sp
     indptr = np.arange(k + 1, dtype=INDEX_DTYPE)
     mass = sp.csr_array((np.ones(k), indices, indptr), shape=(k, graph.n_entities))
     for step in steps:
-        mass = mass @ step.walk
+        mass = sparse_product(mass, step.walk)
     return mass
 
 
@@ -102,8 +116,7 @@ def walk_distribution(graph: HinGraph, source: str, metapath: MetaPath) -> WalkD
     """Forward pass of the constrained walk; returns only positive masses."""
     src = graph.entity_index(source)
     steps = _step_matrices(graph, metapath, [src])
-    # one dense mass vector: walk_t @ mass is mass @ walk without building a
-    # sparse row per step, which costs more than the step on small graphs
+    # one dense mass vector moved by the transposed step: far cheaper than a sparse row
     mass = np.zeros(graph.n_entities)
     mass[src] = 1.0
     for step in steps:
@@ -237,17 +250,9 @@ def block_counts(
     the rows and the left half multiplied left to right, the last step is cut
     to the columns and the right half multiplied right to left, so no product
     spans all entities on both sides. The halves are cast to ``dtype`` and
-    meet in one final product. Every product, the final one included, must
-    stay within ``NNZ_BUDGET`` stored entries.
+    meet in one final product. Every product, and the cut that stands for a
+    one-step path, must stay within ``NNZ_BUDGET`` stored entries.
     """
-
-    def checked(product: sp.csr_array) -> sp.csr_array:
-        if product.nnz > NNZ_BUDGET:
-            raise BudgetExceededError(
-                f"commuting matrix for {metapath} exceeds nnz budget {NNZ_BUDGET}"
-            )
-        return product
-
     n = graph.n_entities
     counts = [step.counts for step in _step_matrices(graph, metapath)]
     if not counts:  # zero steps: each start-type member reaches itself once
@@ -258,18 +263,18 @@ def block_counts(
     # would only copy the step, so it is skipped
     left = counts[0] if len(rows) == n else counts[0][rows]
     for step in counts[1:mid]:
-        left = checked(left @ step)
+        left = sparse_product(left, step)
     if mid == len(counts):  # one step: the cut first step is the whole path
         block = left if len(cols) == n else left[:, cols]
         # the result never shares the graph's cached step
-        return checked(block.astype(dtype, copy=block is counts[0]))
+        return _within_budget(block.astype(dtype, copy=block is counts[0]))
     right = counts[-1] if len(cols) == n else counts[-1][:, cols]
     for step in reversed(counts[mid:-1]):
-        right = checked(step @ right)
+        right = sparse_product(step, right)
     # rebound, so the halves in their first dtype are freed before the product
     left = left.astype(dtype, copy=False)
     right = right.astype(dtype, copy=False)
-    return checked(left @ right)
+    return sparse_product(left, right)
 
 
 def commuting_matrix(graph: HinGraph, metapath: MetaPath) -> CommutingMatrix:
@@ -319,7 +324,7 @@ def enumerate_metapaths(
     root = graph.hierarchy.root
     edges = [graph.step_matrix(r, inv, root, root).edges for r, inv in directions]
     # entities x directions: the entities with an edge into the targets, one
-    # column per direction (bool @ bool is an or)
+    # column per direction (a boolean product sums with or)
     hit_rows = [np.flatnonzero(adj @ is_target).astype(INDEX_DTYPE) for adj in edges]
     indptr = np.cumsum([0] + [len(rows) for rows in hit_rows], dtype=INDEX_DTYPE)
     into_targets = sp.csc_array(
@@ -330,7 +335,7 @@ def enumerate_metapaths(
     def last_hops(reach: sp.csr_array) -> Iterator[tuple[int, tuple[int, bool]]]:
         """(row, direction) of every row of ``reach`` that reaches an entity
         with an edge of that direction into the targets."""
-        hits = (reach @ into_targets).tocoo()
+        hits = sparse_product(reach, into_targets).tocoo()
         return zip(hits.row.tolist(), map(directions.__getitem__, hits.col.tolist()))
 
     def check_deadline() -> None:
@@ -350,7 +355,7 @@ def enumerate_metapaths(
         blocks = []
         for d, adj in zip(directions, edges):
             check_deadline()
-            following = reach @ adj  # bool @ bool stays bool in scipy
+            following = sparse_product(reach, adj)  # boolean stays boolean in scipy
             if next_to_last:
                 found.extend(seqs[i] + (d, last) for i, last in last_hops(following))
                 continue

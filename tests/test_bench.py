@@ -1,6 +1,6 @@
 import pytest
 
-from hinwalk import SearchConfig
+from hinwalk import BudgetExceededError, SearchConfig, walks
 from hinwalk.bench import BenchConfig, run_benchmark
 
 
@@ -39,6 +39,14 @@ def test_timeout_censors_cell(g2):
     assert enum_row["censored"]
     assert enum_row["median_s"] == 0.0
     assert len(enum_row["runs_s"]) == 1  # censored cells are not rerun
+
+
+def test_nnz_refusal_is_not_censored(g2, monkeypatch):
+    graph, _ = g2
+    config = BenchConfig(lengths=(2,), example_sizes=(1,), repeats=1, timeout_s=300.0)
+    monkeypatch.setattr(walks, "NNZ_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="nnz"):
+        run_benchmark(graph, [("v1", "v2")], config)
 
 
 def test_empty_subset_rejected(g1):

@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+from hinwalk import walks
 from hinwalk.cli import main
 from hinwalk.io import read_report
 
@@ -278,6 +279,40 @@ def test_budget_exit_code(workdir):
          "--node-budget", "2", "--max-paths", "5"]
     )
     assert code == 4
+
+
+@pytest.fixture
+def hub_dir(tmp_path):
+    """p1 -r-> t, and p1 -s-> each of ten E entities."""
+    edges = ["p1\tr\tt"] + [f"p1\ts\te{i}" for i in range(10)]
+    types = ["p1\tA", "t\tB"] + [f"e{i}\tE" for i in range(10)]
+    for name, lines in [
+        ("edges.tsv", edges),
+        ("types.tsv", types),
+        ("hierarchy.tsv", ["A\tObject", "B\tObject", "E\tObject"]),
+        ("examples.tsv", ["p1\tt"]),
+        ("pairs.tsv", ["p1\te0"]),
+        ("paths.txt", ["A -s-> E"]),
+    ]:
+        (tmp_path / name).write_text("".join(f"{line}\n" for line in lines))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate-paths", "--examples", "examples.tsv"],
+        ["score", "--paths", "paths.txt", "--pairs", "pairs.tsv"],
+        # the search's first expansion makes the 10-entry s product; at the
+        # full budget it emits A -r-> B, whose index holds one entry
+        ["simsearch", "--examples", "examples.tsv", "--max-paths", "1", "--query", "p1"],
+    ],
+)
+def test_oversized_product_exits_4(hub_dir, monkeypatch, argv):
+    command, *options = [str(hub_dir / a) if (hub_dir / a).is_file() else a for a in argv]
+    assert main([command, *bundle_args(hub_dir), *options]) == 0
+    monkeypatch.setattr(walks, "NNZ_BUDGET", 5)
+    assert main([command, *bundle_args(hub_dir), *options]) == 4
 
 
 def test_nan_l2_is_precondition(workdir, capsys):

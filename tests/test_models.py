@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from hinwalk import (
+    BudgetExceededError,
     LogisticModel,
     ParseError,
     TrainConfig,
@@ -21,6 +22,7 @@ from hinwalk import (
     save_model,
     train_logistic,
 )
+from hinwalk import walks
 from hinwalk.models import gradient, log_likelihood
 from corpus import auc_pairwise
 
@@ -85,6 +87,13 @@ class TestBuildFeatures:
         graph, _ = g1
         with pytest.raises(UnknownEntityError, match="p9"):
             build_features(graph, [("p1", "p9")], [parse_metapath(P_FOUNDERS)])
+
+    def test_nnz_budget(self, g2, p_star, monkeypatch):
+        # v1's first step already reaches two papers
+        graph, _ = g2
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 1)
+        with pytest.raises(BudgetExceededError, match="nnz"):
+            build_features(graph, [("v1", "v2")], [p_star])
 
 
 class TestTrainLogistic:

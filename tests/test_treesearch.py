@@ -15,6 +15,7 @@ from hinwalk import (
     walk_distribution,
     walk_probability,
 )
+from hinwalk import walks
 from corpus import random_example_pairs, random_typed_graph
 
 
@@ -231,7 +232,7 @@ class TestSearch:
         (path,) = result.paths
         assert str(path.metapath) == "Person -found-> Organization -found~-> Person"
         assert path.scores == {("p1", "p2"): 0.5}
-        assert result.matrix.values.tolist() == [[0.5]]
+        assert list(path.scores.values()) == [0.5]
 
     def test_g2_first_emission_is_star(self, g2, p_star):
         graph, _ = g2
@@ -274,6 +275,21 @@ class TestSearch:
         assert result.status == "budget"
         assert result.paths == ()
 
+    def test_nnz_budget_stops_the_search(self, monkeypatch):
+        # p1's first emission, p1 -r-> t, multiplies one-entry masses; the
+        # hub's expansion afterwards would store 10 entries
+        hub = [("hub", "s", f"e{i}") for i in range(10)]
+        graph, _ = build_graph([("p1", "r", "t"), ("p1", "s", "hub"), *hub], [], [])
+        examples = ExamplePairSet([("p1", "t")])
+        full = generate_paths(graph, examples, SearchConfig(max_paths=3))
+        assert full.status == "ok"
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 5)
+        result = generate_paths(graph, examples, SearchConfig(max_paths=3))
+        assert result.status == "budget"
+        assert result.paths == full.paths[:1]
+        assert result.tree.next_path() is None
+        assert result.tree.status == "budget"
+
     def test_frontier_exhaustion_status(self):
         # a and d live in disconnected components: no sequence can link them
         lonely, _ = build_graph([("a", "r", "b"), ("c", "q", "d")], [], [])
@@ -297,10 +313,14 @@ class TestSearch:
         graph, _ = g2
         examples = ExamplePairSet([("v1", "v2"), ("v1", "v3")])
         result = generate_paths(graph, examples, SearchConfig(max_paths=2))
-        assert result.matrix.pairs == (("v1", "v2"), ("v1", "v3"))
-        for j, p in enumerate(result.paths):
-            for i, pair in enumerate(examples.pairs):
-                assert result.matrix.values[i, j] == p.scores.get(pair, 0.0)
+        for p in result.paths:
+            node = result.tree.root
+            for r in p.relations:
+                node = node.children[(graph.relation_index(r.name), r.inverted)]
+            tuples = result.tree.node_tuples(node)
+            assert list(p.scores.items()) == [
+                (pair, tuples[pair]) for pair in examples.pairs if pair in tuples
+            ]
 
     def test_determinism(self, g2):
         graph, _ = g2

@@ -370,6 +370,15 @@ class TestCommutingMatrix:
         with pytest.raises(BudgetExceededError, match="nnz"):
             commuting_matrix(graph, p_star)
 
+    def test_nnz_budget_bounds_the_one_step_cut(self, g2, monkeypatch):
+        graph, _ = g2
+        path = parse_metapath("Venue -publishIn~-> Paper")  # 4 entries, no product
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 4)
+        assert commuting_matrix(graph, path).matrix.nnz == 4
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 3)
+        with pytest.raises(BudgetExceededError, match="nnz"):
+            commuting_matrix(graph, path)
+
     @pytest.mark.parametrize("path", ["Object -found-> Object", "Person -found-> Organization"])
     def test_result_does_not_share_cached_step(self, g1, path):
         graph, _ = g1
@@ -391,6 +400,15 @@ class TestWalkMass:
                 assert mass.indices.dtype == np.int32
                 assert mass.indptr.dtype == np.int32
 
+    def test_nnz_budget(self, g2, p_star, monkeypatch):
+        graph, _ = g2
+        sources = [graph.entity_index(v) for v in ("v1", "v2", "v3")]
+        # the third step's product holds 8 entries, more than the result's 7
+        assert walk_mass(graph, sources, p_star).nnz == 7
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 7)
+        with pytest.raises(BudgetExceededError, match="nnz"):
+            walk_mass(graph, sources, p_star)
+
 
 class TestEnumerateMetapaths:
     def test_g2_venue_venue(self, g2):
@@ -406,6 +424,13 @@ class TestEnumerateMetapaths:
     def test_zero_max_len(self, g2):
         graph, _ = g2
         assert enumerate_metapaths(graph, "Venue", "Venue", 0) == []
+
+    def test_nnz_budget(self, g2, monkeypatch):
+        # the venues' one reachable set after publishIn~ holds four papers
+        graph, _ = g2
+        monkeypatch.setattr(walks, "NNZ_BUDGET", 3)
+        with pytest.raises(BudgetExceededError, match="nnz"):
+            enumerate_metapaths(graph, "Venue", "Venue", 2)
 
     def test_unknown_type(self, g2):
         graph, _ = g2
