@@ -13,10 +13,8 @@ from .metapath import MetaPath, format_metapath, parse_metapath, relations_only
 from .models import (
     LogisticModel,
     ScoreMatrix,
-    TrainConfig,
     auc,
     build_features,
-    combine_scores,
     load_model,
     predict,
     save_model,
@@ -29,9 +27,7 @@ from .treesearch import (
     PathGenerationResult,
     SearchConfig,
     SearchTree,
-    fill_types,
     generate_paths,
-    priority_score,
 )
 from .walks import (
     CommutingMatrix,
@@ -65,10 +61,8 @@ __all__ = [
     "relations_only",
     "LogisticModel",
     "ScoreMatrix",
-    "TrainConfig",
     "auc",
     "build_features",
-    "combine_scores",
     "load_model",
     "predict",
     "save_model",
@@ -81,9 +75,7 @@ __all__ = [
     "PathGenerationResult",
     "SearchConfig",
     "SearchTree",
-    "fill_types",
     "generate_paths",
-    "priority_score",
     "CommutingMatrix",
     "WalkDistribution",
     "commuting_matrix",

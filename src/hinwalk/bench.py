@@ -38,12 +38,15 @@ class BenchReport:
     rows: list[dict]
 
     def table(self) -> str:
-        header = f"{'method':<16} {'examples':>8} {'median_s':>10} {'paths':>6} {'censored':>8}"
+        header = (
+            f"{'method':<16} {'examples':>8} {'median_s':>10} {'paths':>6} {'censored':>8} "
+            f"{'status':>9}"
+        )
         lines = [header, "-" * len(header)]
-        for r in self.rows:
+        for r in self.rows:  # only the tree search has a status
             lines.append(
                 f"{r['method']:<16} {r['examples']:>8} {r['median_s']:>10.3f} "
-                f"{r['paths']:>6} {str(r['censored']):>8}"
+                f"{r['paths']:>6} {str(r['censored']):>8} {r.get('status', '-'):>9}"
             )
         return "\n".join(lines)
 
@@ -53,9 +56,10 @@ def run_benchmark(
 ) -> BenchReport:
     """Median-of-N wall times for path generation over example-set sizes.
 
-    One row per (method, example count): the tree search, then enumeration
-    plus feature scoring for each fixed length. A cell exceeding the timeout
-    is recorded as censored at the timeout value, not rerun and not fatal.
+    One row per (method, example count): the tree search, with its search
+    status, then enumeration plus feature scoring for each fixed length. A
+    cell exceeding the timeout is recorded as censored at the timeout value,
+    not rerun and not fatal.
     """
     rows: list[dict] = []
     for n in config.example_sizes:
@@ -66,21 +70,20 @@ def run_benchmark(
         target_type = graph.lca_type([graph.entity_index(t) for _, t in subset])
 
         runs: list[float] = []
-        n_paths = 0
         for _ in range(config.repeats):
             examples = ExamplePairSet(subset)
             t0 = time.perf_counter()
             result = generate_paths(graph, examples, config.search)
             runs.append(time.perf_counter() - t0)
-            n_paths = len(result.paths)
         rows.append(
             {
                 "method": "tree-search",
                 "examples": len(subset),
                 "runs_s": runs,
                 "median_s": statistics.median(runs),
-                "paths": n_paths,
+                "paths": len(result.paths),
                 "censored": False,
+                "status": result.status,
             }
         )
 

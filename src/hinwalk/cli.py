@@ -72,10 +72,10 @@ def _parse_bundle(args) -> hio.ParsedBundle:
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=0.6, help="priority decay per depth")
-    p.add_argument("--max-paths", type=int, default=20)
-    p.add_argument("--max-depth", type=int, default=6)
-    p.add_argument("--node-budget", type=int, default=1_000_000)
+    p.add_argument("--beta", type=float, default=SearchConfig.beta, help="priority decay per depth")
+    p.add_argument("--max-paths", type=int, default=SearchConfig.max_paths)
+    p.add_argument("--max-depth", type=int, default=SearchConfig.max_depth)
+    p.add_argument("--node-budget", type=int, default=SearchConfig.node_budget)
 
 
 def _search_config(args) -> SearchConfig:
@@ -154,8 +154,7 @@ def cmd_train_lp(args) -> int:
     pairs = [(r.source, r.target) for r in rows]
     labels = [r.label for r in rows]
     features = models.build_features(parsed.graph, pairs, paths)
-    config = models.TrainConfig(fit_bias=not args.no_bias)
-    model = models.train_logistic(features, labels, l2_strength=args.l2, config=config)
+    model = models.train_logistic(features, labels, l2_strength=args.l2, fit_bias=not args.no_bias)
     models.save_model(args.model_out, model, paths)
     preds = models.predict(model, features)
     accuracy = sum((p >= 0.5) == bool(l) for p, l in zip(preds, labels)) / len(labels)
@@ -357,22 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--type-counts", type=_type_counts, required=True, help="e.g. A=2000,B=2000,C=2000"
     )
     p.add_argument("--planted", required=True, help="typed meta-path, e.g. 'A -r1-> B -r2-> C'")
-    p.add_argument("--noise-rate", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out-degree", type=int, default=3)
-    p.add_argument("--distractors", type=int, default=4)
-    p.add_argument("--noise-relations", type=int, default=2)
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--noise-rate", type=float, default=synth.SyntheticSpec.noise_rate)
+    p.add_argument("--seed", type=int, default=synth.SyntheticSpec.seed)
+    p.add_argument("--out-degree", type=int, default=synth.SyntheticSpec.out_degree)
+    p.add_argument("--distractors", type=int, default=synth.SyntheticSpec.distractor_relations)
+    p.add_argument("--noise-relations", type=int, default=synth.SyntheticSpec.noise_relation_count)
+    p.add_argument("--pairs", type=int, default=synth.SyntheticSpec.n_pairs)
     p.add_argument("--output", help="write a JSONL report of the generated files")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="time tree search vs fixed-length enumeration")
     _add_bundle_args(p, need_examples=True)
     _add_search_args(p)
-    p.add_argument("--lengths", type=_list_of(int, "integers"), default="1,2,3,4")
-    p.add_argument("--sizes", type=_list_of(int, "integers"), default="10,50,100")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--lengths", type=_list_of(int, "integers"), default=bench_mod.BenchConfig.lengths)
+    p.add_argument("--sizes", type=_list_of(int, "integers"), default=bench_mod.BenchConfig.example_sizes)
+    p.add_argument("--repeats", type=int, default=bench_mod.BenchConfig.repeats)
+    p.add_argument("--timeout", type=float, default=bench_mod.BenchConfig.timeout_s)
     p.add_argument("--output", help="write a JSONL report (plot-ready)")
     p.set_defaults(func=cmd_bench)
 

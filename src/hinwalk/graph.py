@@ -356,9 +356,6 @@ class HinGraph:
             return []
         return [self.entities[w] for w in self.neighbors_idx(e, r, rel.inverted)]
 
-    def out_degree(self, entity: str, rel: DirectedRelation) -> int:
-        return len(self.out_neighbors(entity, rel))
-
     def assigned_types(self, entity: str) -> frozenset[str]:
         """Types directly assigned to the entity (no ancestor expansion)."""
         return self._type_sets[self._type_codes[self.entity_index(entity)]]

@@ -42,15 +42,6 @@ class ScoreMatrix:
             )
 
 
-def combine_scores(scores: Sequence[float], theta: Sequence[float]) -> float:
-    """Weighted sum of per-meta-path walk scores (no bias term)."""
-    scores = np.asarray(scores, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if scores.shape != theta.shape:
-        raise ValueError(f"dimension mismatch: {scores.shape} scores vs {theta.shape} weights")
-    return float(scores @ theta)
-
-
 def build_features(
     graph: HinGraph,
     pairs: Sequence[tuple[str, str]],
@@ -80,16 +71,12 @@ def build_features(
     return ScoreMatrix(tuple(pairs), tuple(metapaths), values)
 
 
-# Training stops once the gradient max-norm falls below GRAD_TOL; a step is
-# accepted once it gains at least ARMIJO_C times the predicted ascent.
+# Training stops once the gradient max-norm falls below GRAD_TOL or after
+# MAX_ITER Newton steps; a step is accepted once it gains at least ARMIJO_C
+# times the predicted ascent.
 GRAD_TOL = 1e-8
+MAX_ITER = 100
 ARMIJO_C = 1e-4
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_iter: int = 100
-    fit_bias: bool = True
 
 
 @dataclass
@@ -142,7 +129,7 @@ def train_logistic(
     features: ScoreMatrix | np.ndarray,
     labels: Sequence[int],
     l2_strength: float = 0.01,
-    config: TrainConfig = TrainConfig(),
+    fit_bias: bool = True,
 ) -> LogisticModel:
     """Maximize the L2-regularized log-likelihood by damped Newton steps.
 
@@ -150,9 +137,10 @@ def train_logistic(
     Hessian (``l2_strength=0`` with an all-zero feature) needs no special
     case; backtracking halves it until the Armijo condition holds. Training
     stops when the gradient max-norm falls below ``GRAD_TOL`` or after
-    ``config.max_iter`` steps. With ``l2_strength=0`` and separable labels,
-    it stops at the first weights with gradient below ``GRAD_TOL``; they
-    separate the data.
+    ``MAX_ITER`` steps, a module constant read at each call. With
+    ``l2_strength=0`` and separable labels, it stops at the first weights with
+    gradient below ``GRAD_TOL``; they separate the data. ``fit_bias=False``
+    fixes the bias at 0.
     """
     X = features.values if isinstance(features, ScoreMatrix) else np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -166,12 +154,12 @@ def train_logistic(
         raise ValueError(f"l2_strength must be finite and >= 0, got {l2_strength}")
 
     # one parameter vector: the weights, then the bias (unregularized) if fit
-    A = np.column_stack([X, np.ones(len(X))]) if config.fit_bias else X
+    A = np.column_stack([X, np.ones(len(X))]) if fit_bias else X
     penalty = np.full(A.shape[1], l2_strength)
     penalty[X.shape[1] :] = 0.0
     theta = np.zeros(A.shape[1])
     obj, grad = _objective(A, y, theta, penalty)
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         if np.max(np.abs(grad), initial=0.0) < GRAD_TOL:
             break
         p = _sigmoid(A @ theta)
@@ -188,8 +176,8 @@ def train_logistic(
         else:
             break  # no ascent step representable; treat as converged
 
-    w, b = (theta[:-1], float(theta[-1])) if config.fit_bias else (theta, 0.0)
-    return LogisticModel(weights=w, bias=b, l2_strength=l2_strength, fit_bias=config.fit_bias)
+    w, b = (theta[:-1], float(theta[-1])) if fit_bias else (theta, 0.0)
+    return LogisticModel(weights=w, bias=b, l2_strength=l2_strength, fit_bias=fit_bias)
 
 
 def predict(model: LogisticModel, features: ScoreMatrix | np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,8 +85,6 @@ class ExamplePairSet:
             raise ValueError("example set must be non-empty")
 
         self.pairs: tuple[tuple[str, str], ...] = tuple(order)
-        self.weights: dict[tuple[str, str], float] = seen
-        self.pair_set: frozenset[tuple[str, str]] = frozenset(order)
 
         self.max_weight: dict[str, float] = {}
         self.pair_count: dict[str, int] = {}
@@ -122,7 +120,6 @@ class GeneratedPath:
     """An emitted meta-path with its per-example-pair walk scores."""
 
     metapath: MetaPath
-    relations: tuple[DirectedRelation, ...]
     scores: dict[tuple[str, str], float]
 
 
@@ -159,52 +156,6 @@ class TreeNode:
     expanded: bool = False
     emitted: bool = False
     node_type: str | None = None  # its position's type, set when a path through it is emitted
-
-
-def _priority(
-    totals: Mapping[str, float], has_pair: bool, depth: int, examples: ExamplePairSet, beta: float
-) -> float:
-    """S from the walk mass left at each example source that still holds some."""
-    if not totals:
-        raise ValueError("cannot score an empty tree node")
-    weight, count = examples.max_weight, examples.pair_count
-    num = sum(weight[u] * total / count[u] for u, total in totals.items())
-    den = sum(weight[u] for u in totals)
-    return (num / den) * beta**depth + (1.0 if has_pair else 0.0)
-
-
-def priority_score(
-    tuples: Mapping[tuple[str, str], float],
-    depth: int,
-    examples: ExamplePairSet,
-    beta: float,
-) -> float:
-    """Priority of a node given its walk tuples keyed by entity names."""
-    totals: dict[str, float] = {}
-    for (u, _), f in tuples.items():
-        totals[u] = totals.get(u, 0.0) + f
-    has_pair = any(key in examples.pair_set for key in tuples)
-    return _priority(totals, has_pair, depth, examples, beta)
-
-
-def fill_types(
-    relations: Sequence[DirectedRelation],
-    depth_entities: Sequence[Iterable[str]],
-    graph: HinGraph,
-) -> MetaPath:
-    """Assign each position the LCA of the types observed there.
-
-    ``depth_entities[i]`` is the set of entities appearing in the emitted
-    node's root path at depth i; the position's type is
-    :meth:`HinGraph.lca_type` of those entities.
-    """
-    if len(depth_entities) != len(relations) + 1:
-        raise ValueError(
-            f"expected {len(relations) + 1} entity sets for {len(relations)} relations, "
-            f"got {len(depth_entities)}"
-        )
-    node_types = [graph.lca_type(map(graph.entity_index, es)) for es in depth_entities]
-    return MetaPath(tuple(node_types), tuple(relations))
 
 
 class SearchTree:
@@ -246,10 +197,15 @@ class SearchTree:
         self._frontier: list[tuple[tuple, TreeNode]] = [(self._key(self.root), self.root)]
 
     def _score(self, mass: sp.csr_array, depth: int) -> tuple[float, bool]:
+        """The node's priority S, from the walk mass left at each example source
+        that still holds some, and whether it holds an example pair."""
+        weight, count = self.examples.max_weight, self.examples.pair_count
         row_totals = mass.sum(axis=1).tolist()
         totals = {s: t for s, t in zip(self.examples.sources, row_totals) if t > 0.0}
         has_pair = bool(mass[self._pair_rows, self._pair_cols].any())
-        return _priority(totals, has_pair, depth, self.examples, self.config.beta), has_pair
+        num = sum(weight[u] * total / count[u] for u, total in totals.items())
+        den = sum(weight[u] for u in totals)
+        return (num / den) * self.config.beta**depth + (1.0 if has_pair else 0.0), has_pair
 
     def _key(self, node: TreeNode) -> tuple:
         return (-round(node.priority, PRIORITY_DECIMALS), node.depth, node.relseq)
@@ -325,9 +281,8 @@ class SearchTree:
                 cur.node_type = self.graph.lca_type(cur.tuples.mass.indices)
             node_types.append(cur.node_type)
             cur = cur.parent
-        relations = self.node_relations(node)
-        typed = MetaPath(tuple(reversed(node_types)), relations)
-        return GeneratedPath(metapath=typed, relations=relations, scores=scores)
+        typed = MetaPath(tuple(reversed(node_types)), self.node_relations(node))
+        return GeneratedPath(metapath=typed, scores=scores)
 
     def next_path(self) -> GeneratedPath | None:
         """Run the search until one more meta-path is emitted.

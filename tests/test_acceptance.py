@@ -144,7 +144,7 @@ def test_criterion_03_fixture_regression(g1, g2, p_star):
 
     result = generate_paths(graph2, ExamplePairSet([("v1", "v2")]), SearchConfig(max_paths=1))
     (emitted,) = result.paths
-    assert emitted.relations == p_star.relations
+    assert emitted.metapath.relations == p_star.relations
     assert str(emitted.metapath) == P_STAR
     assert emitted.metapath.node_types == ("Venue", "Paper", "Author", "Paper", "Venue")
     report(3, "f(p1,p2)=0.5, f(v1,v2|P*)=0.25, first emission types Venue-Paper-Author-Paper-Venue")
@@ -152,7 +152,9 @@ def test_criterion_03_fixture_regression(g1, g2, p_star):
 
 def test_criterion_04_planted_rule_link_prediction(planted_pipeline):
     pipe = planted_pipeline
-    signatures = {tuple((r.name, r.inverted) for r in p.relations) for p in pipe["result"].paths}
+    signatures = {
+        tuple((r.name, r.inverted) for r in p.metapath.relations) for p in pipe["result"].paths
+    }
     planted_sig = tuple((r.name, r.inverted) for r in pipe["spec"].planted.relations)
     assert planted_sig in signatures
     typed = {str(p.metapath) for p in pipe["result"].paths}
@@ -268,7 +270,8 @@ def test_criterion_09_search_order_and_determinism():
             if next_key is not None:
                 assert popped_key <= next_key
                 pops_checked += 1
-        assert [p.relations for p in runs[0].paths] == [p.relations for p in runs[1].paths]
+        first, second = ([p.metapath.relations for p in run.paths] for run in runs)
+        assert first == second
         assert runs[0].tree.trace == runs[1].tree.trace
     report(9, f"{pops_checked} instrumented pops all maximal under the tie-break; reruns identical")
 

@@ -21,6 +21,23 @@ def test_g1_bundle_all_cells_fast(g1):
     assert "tree-search" in report.table()
 
 
+def test_tree_search_row_reports_a_budget_stop(g2):
+    graph, _ = g2
+    config = BenchConfig(
+        lengths=(1,), example_sizes=(1,), repeats=1, search=SearchConfig(node_budget=2)
+    )
+    report = run_benchmark(graph, [("v1", "v2")], config)
+    tree_row = report.rows[0]
+    assert tree_row["method"] == "tree-search"
+    assert tree_row["status"] == "budget"
+    assert tree_row["paths"] == 0
+    assert "status" not in report.rows[1]
+    lines = report.table().splitlines()
+    assert lines[0].split()[-1] == "status"
+    assert lines[2].split()[-1] == "budget"
+    assert lines[3].split()[-1] == "-"
+
+
 def test_zero_lengths_rejected():
     with pytest.raises(ValueError, match="lengths"):
         BenchConfig(lengths=())

@@ -2,9 +2,11 @@ import shutil
 
 import pytest
 
-from hinwalk import walks
-from hinwalk.cli import main
+from hinwalk import SearchConfig, parse_metapath, walks
+from hinwalk.bench import BenchConfig
+from hinwalk.cli import build_parser, main
 from hinwalk.io import read_report
+from hinwalk.synth import SyntheticSpec
 
 
 @pytest.fixture
@@ -179,6 +181,29 @@ def test_synth_and_bench_commands(tmp_path, capsys):
     assert "tree-search" in capsys.readouterr().out
     _, rows = read_report(report)
     assert [r["method"] for r in rows] == ["tree-search", "enumerate-l1", "enumerate-l2"]
+
+
+def test_option_defaults_are_the_library_defaults():
+    parser = build_parser()
+    bundle = ["--edges", "e.tsv", "--examples", "x.tsv"]
+    bench = parser.parse_args(["bench", *bundle])
+    search = SearchConfig()
+    assert (bench.beta, bench.max_paths, bench.max_depth, bench.node_budget) == (
+        search.beta, search.max_paths, search.max_depth, search.node_budget
+    )
+    config = BenchConfig()
+    assert (tuple(bench.lengths), tuple(bench.sizes), bench.repeats, bench.timeout) == (
+        config.lengths, config.example_sizes, config.repeats, config.timeout_s
+    )
+    synth = parser.parse_args(["synth", "--out-dir", "o", "--type-counts", "A=1", "--planted", "A"])
+    spec = SyntheticSpec({"A": 1}, parse_metapath("A"))
+    assert (
+        synth.noise_rate, synth.seed, synth.out_degree, synth.distractors,
+        synth.noise_relations, synth.pairs,
+    ) == (
+        spec.noise_rate, spec.seed, spec.out_degree, spec.distractor_relations,
+        spec.noise_relation_count, spec.n_pairs,
+    )
 
 
 def test_parse_error_exit_code(tmp_path):

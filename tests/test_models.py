@@ -11,18 +11,16 @@ from hinwalk import (
     BudgetExceededError,
     LogisticModel,
     ParseError,
-    TrainConfig,
     UnknownEntityError,
     auc,
     build_features,
-    combine_scores,
     load_model,
     parse_metapath,
     predict,
     save_model,
     train_logistic,
 )
-from hinwalk import walks
+from hinwalk import models, walks
 from hinwalk.models import gradient, log_likelihood
 from corpus import auc_pairwise
 
@@ -45,21 +43,6 @@ def random_instance(seed, n_max=20, d_max=4):
         l2_strength=float(rng.uniform(0, 0.5)),
     )
     return model, X, y
-
-
-class TestCombineScores:
-    def test_identity_weight(self):
-        assert combine_scores([0.5], [1.0]) == 0.5
-
-    def test_linear(self):
-        assert combine_scores([0.25, 0.5], [2.0, 1.0]) == 1.0
-
-    def test_zero_scores(self):
-        assert combine_scores([0.0, 0.0], [3.0, -1.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            combine_scores([0.5], [1.0, 2.0])
 
 
 class TestBuildFeatures:
@@ -145,7 +128,7 @@ class TestTrainLogistic:
         # the optimum is at infinity; training stops once |grad| < 1e-8
         X = np.array([[0.9], [0.8], [-0.2], [-0.1]])
         y = np.array([1, 1, 0, 0])
-        model = train_logistic(X, y, 0.0, TrainConfig(max_iter=100, fit_bias=fit_bias))
+        model = train_logistic(X, y, 0.0, fit_bias=fit_bias)
         assert np.max(np.abs(gradient(model, X, y))) < 1e-8
         assert np.array_equal(predict(model, X) > 0.5, y == 1)
 
@@ -175,15 +158,17 @@ class TestTrainLogistic:
         model = train_logistic(np.zeros((4, 0)), [1, 0, 1, 0])
         assert predict(model, np.zeros((2, 0))).tolist() == [0.5, 0.5]
 
-    def test_objective_nondecreasing(self):
-        # re-run training in small max_iter slices and watch the objective climb
+    def test_objective_nondecreasing(self, monkeypatch):
+        # re-run training in small MAX_ITER slices and watch the objective climb
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, size=(30, 2))
         y = (X @ np.array([2.0, -1.0]) + 0.2 > 0.5).astype(int)
         values = []
         for iters in (1, 2, 5, 10, 50, 200):
-            model = train_logistic(X, y, 0.05, TrainConfig(max_iter=iters))
+            monkeypatch.setattr(models, "MAX_ITER", iters)
+            model = train_logistic(X, y, 0.05)
             values.append(log_likelihood(model, X, y))
+        assert values[0] < values[-1]  # one step stops short: MAX_ITER is read at each call
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 

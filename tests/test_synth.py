@@ -150,5 +150,5 @@ class TestBibliographicGraph:
             BibliographicSpec(n_areas=2, venues_per_area=4, authors_per_area=10, seed=5)
         )
         result = generate_paths(graph, ExamplePairSet(pairs), SearchConfig(max_paths=3, max_depth=4))
-        sigs = {tuple(str(r) for r in p.relations) for p in result.paths}
+        sigs = {tuple(str(r) for r in p.metapath.relations) for p in result.paths}
         assert ("publishIn~", "authorOf~", "authorOf", "publishIn") in sigs

@@ -7,10 +7,8 @@ from hinwalk import (
     SearchConfig,
     SearchTree,
     build_graph,
-    fill_types,
     generate_paths,
     parse_metapath,
-    priority_score,
     relations_only,
     walk_distribution,
     walk_probability,
@@ -25,7 +23,7 @@ def simulate_first_emission(graph, examples, beta=0.6, max_depth=6):
     pops with the (-S, depth, sequence) ordering. Independent of the
     incremental heap implementation under test."""
     sources = sorted({s for s, _ in examples.pairs})
-    pair_set = examples.pair_set
+    pair_set = set(examples.pairs)
 
     def tuples_for(seq):
         rels = tuple(DirectedRelation(graph.relations[r], inv) for r, inv in seq)
@@ -119,23 +117,26 @@ class TestSearchConfig:
 
 
 class TestPriorityScore:
-    def test_depth_one_no_pair(self, g1):
-        examples = ExamplePairSet([("p1", "p2")])
-        assert priority_score({("p1", "g"): 1.0}, 1, examples, 0.6) == pytest.approx(0.6)
+    """Hand-worked priorities of the tree's own nodes on g1 for the pair (p1, p2)."""
 
-    def test_depth_two_with_pair(self, g1):
-        examples = ExamplePairSet([("p1", "p2")])
-        score = priority_score({("p1", "p1"): 0.5, ("p1", "p2"): 0.5}, 2, examples, 0.6)
-        assert score == pytest.approx(1.36)
+    @pytest.fixture
+    def tree(self, g1):
+        graph, _ = g1
+        return SearchTree(graph, ExamplePairSet([("p1", "p2")]), SearchConfig(beta=0.6))
 
-    def test_root_unit(self):
-        examples = ExamplePairSet([("s", "t")])
-        assert priority_score({("s", "s"): 1.0}, 0, examples, 0.6) == pytest.approx(1.0)
+    def test_root_unit(self, tree):
+        assert tree.root.priority == pytest.approx(1.0)
 
-    def test_empty_node_rejected(self):
-        examples = ExamplePairSet([("s", "t")])
-        with pytest.raises(ValueError):
-            priority_score({}, 1, examples, 0.6)
+    def test_depth_one_no_pair(self, tree):
+        (child,) = tree.expand_node(tree.root)  # (p1, g): 1.0
+        assert not child.has_pair
+        assert child.priority == pytest.approx(0.6)
+
+    def test_depth_two_with_pair(self, tree):
+        (child,) = tree.expand_node(tree.root)
+        (grandchild,) = tree.expand_node(child)  # (p1, p1): 0.5, (p1, p2): 0.5
+        assert grandchild.has_pair
+        assert grandchild.priority == pytest.approx(1.36)
 
 
 class TestExpand:
@@ -247,7 +248,7 @@ class TestSearch:
         examples = ExamplePairSet([("v1", "v2")])
         seq, y = simulate_first_emission(graph, examples)
         result = generate_paths(graph, examples, SearchConfig(max_paths=1))
-        assert result.paths[0].relations == tuple(
+        assert result.paths[0].metapath.relations == tuple(
             DirectedRelation(graph.relations[r], inv) for r, inv in seq
         )
         assert result.paths[0].scores == y
@@ -263,7 +264,7 @@ class TestSearch:
         graph, _ = g1
         result = generate_paths(graph, ExamplePairSet([("p1", "p2")]), SearchConfig(max_paths=2))
         assert len(result.paths) == 2
-        signatures = [tuple(str(r) for r in p.relations) for p in result.paths]
+        signatures = [tuple(str(r) for r in p.metapath.relations) for p in result.paths]
         assert signatures[0] == ("found", "found~")
         assert signatures[1] == ("found", "found~", "found", "found~")
 
@@ -306,7 +307,7 @@ class TestSearch:
     def test_no_duplicate_paths(self, g2):
         graph, _ = g2
         result = generate_paths(graph, ExamplePairSet([("v1", "v2")]), SearchConfig(max_paths=8))
-        signatures = [p.relations for p in result.paths]
+        signatures = [p.metapath.relations for p in result.paths]
         assert len(signatures) == len(set(signatures))
 
     def test_score_matrix_rows_follow_pair_order(self, g2):
@@ -315,7 +316,7 @@ class TestSearch:
         result = generate_paths(graph, examples, SearchConfig(max_paths=2))
         for p in result.paths:
             node = result.tree.root
-            for r in p.relations:
+            for r in p.metapath.relations:
                 node = node.children[(graph.relation_index(r.name), r.inverted)]
             tuples = result.tree.node_tuples(node)
             assert list(p.scores.items()) == [
@@ -331,7 +332,7 @@ class TestSearch:
             )
             runs.append(
                 (
-                    [p.relations for p in result.paths],
+                    [p.metapath.relations for p in result.paths],
                     [p.scores for p in result.paths],
                     result.tree.trace,
                 )
@@ -419,7 +420,7 @@ class TestBestFirstProperty:
         else:
             assert tuple((r, i) for r, i in (
                 (graph.relation_index(rel.name), rel.inverted)
-                for rel in result.paths[0].relations
+                for rel in result.paths[0].metapath.relations
             )) == seq
             got = result.paths[0].scores
             assert set(got) == set(y)
@@ -451,35 +452,6 @@ class TestPriorityBounds:
             stack.extend(node.children.values())
 
 
-class TestFillTypes:
-    def test_g1_trace(self, g1):
-        graph, _ = g1
-        relations = (DirectedRelation("found"), DirectedRelation("found", True))
-        path = fill_types(relations, [{"p1"}, {"g"}, {"p1", "p2"}], graph)
-        assert str(path) == "Person -found-> Organization -found~-> Person"
-
-    def test_singleton(self, g1):
-        graph, _ = g1
-        path = fill_types((), [{"p1"}], graph)
-        assert path.node_types == ("Person",)
-
-    def test_g2_star_trace(self, g2, p_star):
-        graph, _ = g2
-        relations = p_star.relations
-        trace = [{"v1"}, {"a1", "a2"}, {"x", "y"}, {"a1", "a2", "b1", "c1"}, {"v1", "v2", "v3"}]
-        assert fill_types(relations, trace, graph) == p_star
-
-    def test_empty_set_rejected(self, g1):
-        graph, _ = g1
-        with pytest.raises(ValueError):
-            fill_types((DirectedRelation("found"),), [{"p1"}, set()], graph)
-
-    def test_arity_mismatch_rejected(self, g1):
-        graph, _ = g1
-        with pytest.raises(ValueError):
-            fill_types((DirectedRelation("found"),), [{"p1"}], graph)
-
-
 class TestPositionTyping:
     def test_emitted_types_match_name_level_reference(self):
         """Each position's type is the LCA of the assigned types of the
@@ -493,7 +465,7 @@ class TestPositionTyping:
             graphs += bool(result.paths)
             for emitted in result.paths:
                 chain = [tree.root]
-                for rel in emitted.relations:
+                for rel in emitted.metapath.relations:
                     chain.append(chain[-1].children[graph.relation_index(rel.name), rel.inverted])
                 expected = tuple(
                     hierarchy.lca_of_set(
