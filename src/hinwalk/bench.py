@@ -23,14 +23,13 @@ class BenchConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        if not self.lengths:
-            raise ValueError("lengths must be non-empty")
-        if not self.example_sizes:
-            raise ValueError("example_sizes must be non-empty")
+        for name, values in (("lengths", self.lengths), ("example_sizes", self.example_sizes)):
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            if min(values) < 1:
+                raise ValueError(f"{name} must be >= 1, got {values}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if any(l < 1 for l in self.lengths):
-            raise ValueError(f"lengths must be >= 1, got {self.lengths}")
 
 
 @dataclass

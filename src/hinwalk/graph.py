@@ -113,8 +113,9 @@ class TypeHierarchy:
 
     It keeps its own copy of every type name, not the caller's strings.
     Depth of a type is the longest parent chain down from the root, so the
-    lowest common ancestor is the deepest type that is an ancestor of both
-    arguments; ties break on the lexicographically smallest type id.
+    lowest common ancestor of a set of types is the deepest common ancestor
+    of the whole set; ties go to the smallest type id. It does not depend on
+    argument order, nor on type names but to break such a tie.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
@@ -179,21 +180,14 @@ class TypeHierarchy:
         """Whether one of the two types is an ancestor of the other."""
         return a in self.ancestors(b) or b in self.ancestors(a)
 
-    def lca(self, a: str, b: str) -> str:
-        """Deepest common ancestor of two types; ties break on smallest id."""
-        common = self.ancestors(a) & self.ancestors(b)
+    def lca(self, *types: str) -> str:
+        """Deepest type in the intersection of the given types' ancestor
+        sets, ties going to the smallest id: independent of argument order,
+        and of type names but for the tie."""
+        if not types:
+            raise ValueError("lca needs at least one type")
+        common = frozenset.intersection(*map(self.ancestors, types))
         return min(common, key=lambda t: (-self._depth[t], t))
-
-    def lca_of_set(self, types: Iterable[str]) -> str:
-        """Left fold of pairwise lca over the given types in sorted order."""
-        ordered = sorted(set(types))
-        if not ordered:
-            raise ValueError("lca_of_set requires a non-empty set of types")
-        acc = ordered[0]
-        self._require(acc)
-        for t in ordered[1:]:
-            acc = self.lca(acc, t)
-        return acc
 
 
 # Entity indices and CSR offsets are int32: a triple list long enough to
@@ -366,8 +360,10 @@ class HinGraph:
 
     def lca_type(self, indices: Iterable[int]) -> str:
         """The type of a meta-path position where the entities at ``indices``
-        (repeats allowed) were seen: the lowest common ancestor of their
-        assigned types."""
+        (repeats allowed) were seen: the deepest common ancestor of the whole
+        set of their assigned types (:meth:`TypeHierarchy.lca`), ties going
+        to the smallest id, independent of order and, but for the tie, of
+        type names."""
         if not isinstance(indices, np.ndarray):
             indices = np.fromiter(indices, np.intp)
         if not len(indices):
@@ -376,7 +372,7 @@ class HinGraph:
         seen = np.zeros(len(self._type_sets), dtype=bool)
         seen[self._type_codes[indices]] = True
         type_sets = map(self._type_sets.__getitem__, np.flatnonzero(seen).tolist())
-        return self.hierarchy.lca_of_set(frozenset().union(*type_sets))
+        return self.hierarchy.lca(*frozenset().union(*type_sets))
 
     def type_members(self, type_id: str) -> np.ndarray:
         """Sorted indices of entities whose closed type set contains ``type_id``,

@@ -12,11 +12,11 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParseError, UnknownEntityError
+from .errors import BudgetExceededError, ParseError
 from .graph import HinGraph
 from .metapath import MetaPath, format_metapath, parse_metapath
 from .walks import walk_mass
@@ -44,18 +44,15 @@ class ScoreMatrix:
 
 def build_features(
     graph: HinGraph,
-    pairs: Sequence[tuple[str, str]],
+    pairs: Iterable[tuple[str, str]],
     metapaths: Sequence[MetaPath],
     deadline: float | None = None,
 ) -> ScoreMatrix:
     """Walk probability of every pair along every meta-path.
 
     Each meta-path is one batched walk from all distinct pair sources.
+    ``pairs`` is read once; an unknown entity raises ``UnknownEntityError``.
     """
-    for s, t in pairs:
-        if not graph.has_entity(s) or not graph.has_entity(t):
-            raise UnknownEntityError(f"pair ({s!r}, {t!r}) references an unknown entity")
-
     pairs = [(s, t) for s, t in pairs]
     values = np.zeros((len(pairs), len(metapaths)))
     if not pairs:

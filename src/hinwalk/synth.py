@@ -53,6 +53,8 @@ class SyntheticSpec:
             raise ValueError(f"noise_rate must be finite and >= 0, got {self.noise_rate}")
         if self.out_degree < 1 or self.n_pairs < 1 or self.noise_relation_count < 0:
             raise ValueError("out_degree and n_pairs must be >= 1, noise_relation_count >= 0")
+        if self.noise_rate > 0 and self.noise_relation_count == 0:
+            raise ValueError("noise_rate > 0 needs noise_relation_count >= 1")
         if self.planted.length > SearchConfig().max_depth:
             warnings.warn(
                 f"planted path length {self.planted.length} exceeds the default "
@@ -100,7 +102,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetBundl
     everything = [e for t in types for e in entities[t]]
     n_noise = int(round(spec.noise_rate * len(triples)))
     for _ in range(n_noise):
-        rel = f"{_NOISE_PREFIX}{rng.randrange(spec.noise_relation_count)}" if spec.noise_relation_count else f"{_NOISE_PREFIX}0"
+        rel = f"{_NOISE_PREFIX}{rng.randrange(spec.noise_relation_count)}"
         triples.add((rng.choice(everything), rel, rng.choice(everything)))
 
     # ground truth: pairs connected by the planted path in the final graph

@@ -31,10 +31,11 @@ bonus guarantees nodes that actually reach example targets are emitted before
 any further expansion, since ``base`` is a weighted mean of values at most 1.
 
 Search steps are constrained by relations only; node types are attached to an
-emitted sequence afterwards: each position gets the lowest common ancestor of
-the assigned types of the entities its node reached
-(:meth:`HinGraph.lca_type`, the one home of this rule), worked out once per
-node and kept on it.
+emitted sequence afterwards: each position gets the deepest common ancestor
+of the whole set of assigned types of the entities its node reached, ties
+going to the smallest type id, independent of order and, but for the tie, of
+type names (:meth:`HinGraph.lca_type` through :meth:`TypeHierarchy.lca`),
+worked out once per node and kept on it.
 
 The tree persists across emissions: an emitted node stays expandable, so
 later rounds can grow longer sequences through it instead of starting over.

@@ -48,6 +48,12 @@ def test_zero_sizes_rejected():
         BenchConfig(example_sizes=())
 
 
+@pytest.mark.parametrize("sizes", [(0,), (-1,), (5, -1)])
+def test_sizes_below_one_rejected(sizes):
+    with pytest.raises(ValueError, match="example_sizes must be >= 1"):
+        BenchConfig(example_sizes=sizes)
+
+
 def test_timeout_censors_cell(g2):
     graph, _ = g2
     config = BenchConfig(lengths=(4,), example_sizes=(1,), repeats=2, timeout_s=0.0)

@@ -146,8 +146,10 @@ def test_synth_seed_reproducible(tmp_path):
           "--distractors", "0", "--noise-relations", "0"], "only 0 unconnected pairs exist"),
         (["--type-counts", "=3,A=30,B=30", "--planted", "A -r-> B", "--pairs", "5"],
          "empty type id"),
+        (["--type-counts", "A=30,B=30", "--planted", "A -r-> B", "--pairs", "5",
+          "--noise-relations", "0", "--noise-rate", "0.2"], "noise_relation_count >= 1"),
     ],
-    ids=["every-pair-connected", "empty-type-name"],
+    ids=["every-pair-connected", "empty-type-name", "noise-without-relations"],
 )
 def test_unsatisfiable_synth_spec_exits_3(tmp_path, capsys, argv, reason):
     assert main(["synth", "--out-dir", str(tmp_path / "out"), *argv]) == 3
@@ -181,6 +183,15 @@ def test_synth_and_bench_commands(tmp_path, capsys):
     assert "tree-search" in capsys.readouterr().out
     _, rows = read_report(report)
     assert [r["method"] for r in rows] == ["tree-search", "enumerate-l1", "enumerate-l2"]
+
+
+def test_bench_size_below_one_is_precondition(workdir, capsys):
+    code = main(
+        ["bench", *bundle_args(workdir), "--examples", str(workdir / "examples.tsv"),
+         "--sizes", "-1", "--lengths", "1", "--repeats", "1"]
+    )
+    assert code == 3
+    assert "example_sizes must be >= 1" in capsys.readouterr().err
 
 
 def test_option_defaults_are_the_library_defaults():

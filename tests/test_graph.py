@@ -36,6 +36,42 @@ def lca_oracle(hierarchy, a, b):
     return best[0]
 
 
+def brute_force_lca(edges, types):
+    """The set rule from the (child, parent) rows alone: every type that is
+    an ancestor of all of ``types`` (by walking parent rows up), the deepest
+    by longest parent chain from the root, then the smallest id."""
+    parents = {}
+    for child, parent in edges:
+        parents.setdefault(child, set()).add(parent)
+
+    def ancestors(t):
+        return {t}.union(*(ancestors(p) for p in parents.get(t, ())))
+
+    def depth(t):
+        return max((1 + depth(p) for p in parents.get(t, ())), default=0)
+
+    common = set.intersection(*map(ancestors, types))
+    return min(common, key=lambda t: (-depth(t), t))
+
+
+def multi_parent_dag(rng):
+    """8-12 types, each with 1-3 parents drawn from the root and earlier types."""
+    names = [f"T{i}" for i in range(rng.randint(8, 12))]
+    rng.shuffle(names)  # so that name order is not creation order
+    edges = []
+    for i, t in enumerate(names):
+        choices = ["Object"] + names[:i]
+        edges += [(t, p) for p in rng.sample(choices, min(rng.randint(1, 3), len(choices)))]
+    return names, edges
+
+
+# a DAG where Q is the deepest common ancestor of A, B and C, while X, the
+# deepest of A and B, is no ancestor of C: folding lca over pairs through X
+# would end at Object
+DIAMOND = [("P", "Object"), ("Q", "Object"), ("X", "P"), ("A", "X"), ("A", "Q"), ("B", "X"),
+           ("B", "Q"), ("C", "Q")]
+
+
 def _state(graph, hierarchy):
     """Everything a built graph holds, as comparable values."""
     root = hierarchy.root
@@ -503,17 +539,29 @@ class TestLca:
         _, hierarchy = g1
         with pytest.raises(UnknownTypeError):
             hierarchy.lca("Company", "Ghost")
+        with pytest.raises(UnknownTypeError):
+            hierarchy.lca("Company", "Person", "Ghost")
 
     def test_lca_of_set(self, g1):
         _, hierarchy = g1
-        assert hierarchy.lca_of_set({"Person"}) == "Person"
-        assert hierarchy.lca_of_set({"Company", "Organization", "Person"}) == "Object"
-        assert hierarchy.lca_of_set({"Company", "Organization"}) == "Organization"
+        assert hierarchy.lca(*{"Person"}) == "Person"
+        assert hierarchy.lca(*{"Company", "Organization", "Person"}) == "Object"
+        assert hierarchy.lca(*{"Company", "Organization"}) == "Organization"
 
     def test_lca_of_set_empty(self, g1):
         _, hierarchy = g1
         with pytest.raises(ValueError):
-            hierarchy.lca_of_set(set())
+            hierarchy.lca(*set())
+
+    def test_deepest_common_ancestor_of_the_whole_set(self):
+        hierarchy = TypeHierarchy(DIAMOND)
+        assert hierarchy.lca("A", "B") == "X"
+        assert hierarchy.lca("A", "B", "C") == "Q"
+        assert hierarchy.lca("C", "B", "A", "B") == "Q"
+        # the same hierarchy with A, B and C renamed b, c and a
+        renamed = {"A": "b", "B": "c", "C": "a"}
+        hierarchy = TypeHierarchy([(renamed.get(c, c), renamed.get(p, p)) for c, p in DIAMOND])
+        assert hierarchy.lca("b", "c", "a") == "Q"
 
     def test_lca_type_reads_assigned_types(self, g1):
         graph, _ = g1
@@ -528,14 +576,16 @@ class TestLca:
         with pytest.raises(ValueError):
             graph.lca_type([])
 
-    def test_lca_of_set_is_fold_of_oracle(self):
-        for seed in range(20):
-            _, hierarchy = random_typed_graph(seed)
-            types = list(hierarchy.types)
-            acc = None
-            for t in sorted(types):
-                acc = t if acc is None else lca_oracle(hierarchy, acc, t)
-            assert hierarchy.lca_of_set(types) == acc
+    def test_matches_set_oracle_on_multi_parent_dags(self):
+        """Every set of 2-4 types, in a shuffled order, on random DAGs."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            names, edges = multi_parent_dag(rng)
+            hierarchy = TypeHierarchy(edges)
+            for size in (2, 3, 4):
+                for _ in range(15):
+                    types = rng.sample(["Object", *names], size)
+                    assert hierarchy.lca(*types) == brute_force_lca(edges, types), (seed, types)
 
 
 class TestInvariants:

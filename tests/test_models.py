@@ -66,6 +66,15 @@ class TestBuildFeatures:
         with pytest.raises(ValueError, match="start type"):
             build_features(graph, [("g", "p1")], [parse_metapath(P_FOUNDERS)])
 
+    def test_pairs_are_read_once(self, g1):
+        graph, _ = g1
+        pairs = [("p1", "p2")]
+        paths = [parse_metapath(P_FOUNDERS)]
+        from_list = build_features(graph, pairs, paths)
+        from_generator = build_features(graph, (pair for pair in pairs), paths)
+        assert from_generator.values.tolist() == from_list.values.tolist() == [[0.5]]
+        assert from_generator.pairs == from_list.pairs
+
     def test_unknown_entity_names_pair(self, g1):
         graph, _ = g1
         with pytest.raises(UnknownEntityError, match="p9"):

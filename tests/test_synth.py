@@ -87,6 +87,12 @@ class TestGenerateSynthetic:
                 noise_rate=rate,
             )
 
+    def test_noise_without_noise_relations_rejected(self):
+        with pytest.raises(ValueError, match="noise_relation_count"):
+            SyntheticSpec(**{**SMALL, "noise_rate": 0.2, "noise_relation_count": 0})
+        # no noise needs no noise relation
+        SyntheticSpec(**{**SMALL, "noise_rate": 0.0, "noise_relation_count": 0})
+
     @pytest.mark.parametrize("name", ["", " ", "A B", "A\u00a0", "A->B"])
     def test_type_name_outside_the_id_rule_rejected(self, name):
         with pytest.raises(ValueError, match="type id"):

@@ -468,8 +468,8 @@ class TestPositionTyping:
                 for rel in emitted.metapath.relations:
                     chain.append(chain[-1].children[graph.relation_index(rel.name), rel.inverted])
                 expected = tuple(
-                    hierarchy.lca_of_set(
-                        set().union(*(graph.assigned_types(t) for _, t in tree.node_tuples(node)))
+                    hierarchy.lca(
+                        *set().union(*(graph.assigned_types(t) for _, t in tree.node_tuples(node)))
                     )
                     for node in chain
                 )

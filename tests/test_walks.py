@@ -61,33 +61,44 @@ def realized_sequences(graph, source_type, target_type, max_len):
     return out
 
 
-def sampled_paths(graph, seed, lengths=(1, 2, 3, 4, 5, 6)):
-    """Relation sequences of random walks, two walks per length, each once
-    with ``Object`` endpoints and once typed with an assigned type of the
-    walk's first and last entity; interior node types stay ``Object``."""
-    rng = random.Random(seed)
-    out = []
+def random_walks(graph, rng, lengths=(1, 2, 3, 4, 5, 6)):
+    """Entity and relation sequences of random walks, two tries per length;
+    a walk that reaches a dead end early is skipped."""
     for length in lengths:
         for _ in range(2):
-            e = start = rng.randrange(graph.n_entities)
+            entities = [rng.randrange(graph.n_entities)]
             relations = []
             for _ in range(length):
                 options = [
                     (r, inv, w)
                     for r, inv in graph.directions
-                    for w in graph.neighbors_idx(e, r, inv)
+                    for w in graph.neighbors_idx(entities[-1], r, inv)
                 ]
                 if not options:
                     break
-                r, inv, e = rng.choice(options)
+                r, inv, w = rng.choice(options)
+                entities.append(w)
                 relations.append(DirectedRelation(graph.relations[r], inv))
-            if len(relations) < length:
-                continue
-            path = relations_only(tuple(relations))
-            first = rng.choice(sorted(graph.assigned_types(graph.entity_name(start))))
-            last = rng.choice(sorted(graph.assigned_types(graph.entity_name(e))))
-            typed = MetaPath((first,) + path.node_types[1:-1] + (last,), path.relations)
-            out += [path, typed]
+            if len(relations) == length:
+                yield entities, tuple(relations)
+
+
+def assigned_type(graph, rng, entity):
+    return rng.choice(sorted(graph.assigned_types(graph.entity_name(entity))))
+
+
+def sampled_paths(graph, seed, lengths=(1, 2, 3, 4, 5, 6)):
+    """Relation sequences of random walks, each once with ``Object``
+    endpoints and once typed with an assigned type of the walk's first and
+    last entity; interior node types stay ``Object``."""
+    rng = random.Random(seed)
+    out = []
+    for entities, relations in random_walks(graph, rng, lengths):
+        path = relations_only(relations)
+        first = assigned_type(graph, rng, entities[0])
+        last = assigned_type(graph, rng, entities[-1])
+        typed = MetaPath((first,) + path.node_types[1:-1] + (last,), path.relations)
+        out += [path, typed]
     return out
 
 
@@ -189,6 +200,31 @@ class TestOracleEquivalence:
                 assert set(mass) == set(oracle)
                 for t, p in oracle.items():
                     assert mass[t] == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_typed_walk_mass_matches_instance_sums(self, seed):
+        """``walk_mass``, the route of features and the tree search, on the
+        sampled walks with every position typed by an assigned type of the
+        walk's entity there: one call per path over every source that
+        carries the start type, each row equal to the oracle's sums."""
+        graph, _ = random_typed_graph(seed, max_entities=14)
+        rng = random.Random(seed)
+        rows = 0
+        for entities, relations in random_walks(graph, rng):
+            path = MetaPath(tuple(assigned_type(graph, rng, e) for e in entities), relations)
+            sources = [
+                e for e in range(graph.n_entities) if path.source_type in graph.closed_types_idx(e)
+            ]
+            mass = walk_mass(graph, sources, path)
+            for row, source in enumerate(sources):
+                oracle = oracle_distribution(graph, graph.entity_name(source), path)
+                cells = slice(mass.indptr[row], mass.indptr[row + 1])
+                got = dict(zip(map(graph.entity_name, mass.indices[cells]), mass.data[cells]))
+                assert set(got) == set(oracle)
+                for t, p in oracle.items():
+                    assert got[t] == pytest.approx(p, abs=1e-12)
+                rows += bool(oracle)
+        assert rows  # the walk's own start reaches its own end
 
     @pytest.mark.parametrize("seed", range(30))
     def test_commuting_matrix_matches_counts(self, seed):
