@@ -31,14 +31,11 @@ from .treesearch import (
 )
 from .walks import (
     CommutingMatrix,
-    WalkDistribution,
     commuting_matrix,
     enumerate_metapaths,
     enumerate_path_instances,
     instance_probabilities,
     instance_probability,
-    walk_distribution,
-    walk_probability,
 )
 
 __version__ = "0.1.0"
@@ -77,13 +74,10 @@ __all__ = [
     "SearchTree",
     "generate_paths",
     "CommutingMatrix",
-    "WalkDistribution",
     "commuting_matrix",
     "enumerate_metapaths",
     "enumerate_path_instances",
     "instance_probabilities",
     "instance_probability",
-    "walk_distribution",
-    "walk_probability",
     "__version__",
 ]

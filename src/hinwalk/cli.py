@@ -43,8 +43,11 @@ def _type_counts(text: str) -> dict[str, int]:
     counts = {}
     for part in text.split(","):
         name, _, num = part.partition("=")
+        name = name.strip()
+        if name in counts:
+            raise argparse.ArgumentTypeError(f"type {name!r} given twice")
         try:
-            counts[name.strip()] = int(num)
+            counts[name] = int(num)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad entry {part!r}, expected TYPE=COUNT") from None
     return counts

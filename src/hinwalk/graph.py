@@ -200,8 +200,8 @@ class StepMatrix:
     members: ``edges`` is a boolean CSR matrix with one ``True`` per edge, so
     boolean products give reachable sets. ``counts`` (int64, products count
     path instances) and ``walk`` (each row divided by its number of edges,
-    the uniform walk step) share its ``indptr`` and ``indices``; ``walk_t``
-    is the transpose of ``walk``. All three are built on first use."""
+    the uniform walk step) share its ``indptr`` and ``indices`` and are
+    built on first use."""
 
     def __init__(self, edges: sp.csr_array):
         self.edges = edges
@@ -218,10 +218,6 @@ class StepMatrix:
     def walk(self) -> sp.csr_array:
         degree = np.diff(self.edges.indptr)
         return self._with_data(1.0 / np.repeat(degree, degree))
-
-    @cached_property
-    def walk_t(self) -> sp.csr_array:
-        return self.walk.T.tocsr()
 
 
 class HinGraph:
@@ -334,9 +330,6 @@ class HinGraph:
     @property
     def n_entities(self) -> int:
         return len(self.entities)
-
-    def has_entity(self, entity: str) -> bool:
-        return position(self.entities, entity) is not None
 
     def out_neighbors(self, entity: str, rel: DirectedRelation) -> list[str]:
         """Entities one step away via ``rel``; empty when there is none.

@@ -42,6 +42,9 @@ class SyntheticSpec:
         for t in self.planted.node_types:
             if self.entity_counts.get(t, 0) <= 0:
                 raise ValueError(f"planted path needs entities of type {t!r}, got none")
+        for t, n in self.entity_counts.items():
+            if n < 1:
+                raise ValueError(f"type {t!r} needs at least 1 entity, got {n}")
         for rel in self.planted.relations:
             if rel.name.startswith((_DISTRACTOR_PREFIX, _NOISE_PREFIX)):
                 raise ValueError(

@@ -25,9 +25,9 @@ parent when it is needed (:mod:`hinwalk.treesearch`). Commuting counts are
 built inside their row x column block as two half-path products that grow
 from the outside in, from the rows and from the columns, and meet in the
 middle in one final product (:func:`block_counts`). The similarity index
-multiplies the halves in float64, which is exact for counts below 2**53. One
-source's walk (:func:`walk_distribution`) moves a dense vector instead, far
-cheaper than a one-row product.
+multiplies the halves in float64, which is exact for counts below 2**53.
+Walk mass has one route, :func:`walk_mass`, which walks all its sources at
+once, one row each; one pair's probability is one entry of it.
 
 Two deliberately independent routes exist for every quantity: the sparse
 products here, and exhaustive depth-first enumeration of concrete path
@@ -64,15 +64,6 @@ def _within_budget(matrix: sp.csr_array) -> sp.csr_array:
     return matrix
 
 
-@dataclass(frozen=True)
-class WalkDistribution:
-    """Where a walk from ``source`` along ``metapath`` can end up, with mass."""
-
-    source: str
-    metapath: MetaPath
-    mass: dict[str, float]
-
-
 def _resolve(graph: HinGraph, metapath: MetaPath) -> list[tuple[int, bool]]:
     """Validate a meta-path against a graph; return interned relation steps."""
     for t in metapath.node_types:
@@ -81,26 +72,26 @@ def _resolve(graph: HinGraph, metapath: MetaPath) -> list[tuple[int, bool]]:
     return [(graph.relation_index(r.name), r.inverted) for r in metapath.relations]
 
 
-def _step_matrices(
-    graph: HinGraph, metapath: MetaPath, sources: Iterable[int] = ()
-) -> list[StepMatrix]:
-    """Validate a meta-path and the walk sources that start on it."""
+def _step_matrices(graph: HinGraph, metapath: MetaPath) -> list[StepMatrix]:
+    """Validate a meta-path; return its type-filtered steps."""
     types = metapath.node_types
-    steps = [
+    return [
         graph.step_matrix(ridx, inv, row_type, col_type)
         for (ridx, inv), row_type, col_type in zip(_resolve(graph, metapath), types, types[1:])
     ]
-    for src in sources:
-        if types[0] not in graph.closed_types_idx(src):
-            raise ValueError(
-                f"source {graph.entity_name(src)!r} does not carry start type {types[0]!r}"
-            )
-    return steps
 
 
 def walk_mass(graph: HinGraph, sources: Sequence[int], metapath: MetaPath) -> sp.csr_array:
-    """Walk mass from each source (rows, in the given order) over entities."""
-    steps = _step_matrices(graph, metapath, sources)
+    """Walk mass from each source (rows, in the given order) over entities.
+
+    Every source must carry the meta-path's start type."""
+    steps = _step_matrices(graph, metapath)
+    start = metapath.source_type
+    for src in sources:
+        if start not in graph.closed_types_idx(src):
+            raise ValueError(
+                f"source {graph.entity_name(src)!r} does not carry start type {start!r}"
+            )
     k = len(sources)
     # int32 indices, as in the step matrices: scipy copies an int32 operand
     # to int64 on every product with an int64 one
@@ -110,28 +101,6 @@ def walk_mass(graph: HinGraph, sources: Sequence[int], metapath: MetaPath) -> sp
     for step in steps:
         mass = sparse_product(mass, step.walk)
     return mass
-
-
-def walk_distribution(graph: HinGraph, source: str, metapath: MetaPath) -> WalkDistribution:
-    """Forward pass of the constrained walk; returns only positive masses."""
-    src = graph.entity_index(source)
-    steps = _step_matrices(graph, metapath, [src])
-    # one dense mass vector moved by the transposed step: far cheaper than a sparse row
-    mass = np.zeros(graph.n_entities)
-    mass[src] = 1.0
-    for step in steps:
-        mass = step.walk_t @ mass
-        if not mass.any():
-            break
-    ends = np.flatnonzero(mass)
-    names = map(graph.entity_name, ends.tolist())
-    return WalkDistribution(source, metapath, dict(zip(names, mass[ends].tolist())))
-
-
-def walk_probability(graph: HinGraph, source: str, target: str, metapath: MetaPath) -> float:
-    """f(source, target | metapath): 0.0 when the target is unreachable."""
-    graph.entity_index(target)
-    return walk_distribution(graph, source, metapath).mass.get(target, 0.0)
 
 
 def enumerate_path_instances(

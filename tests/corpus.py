@@ -3,6 +3,7 @@
 import random
 
 from hinwalk import build_graph, enumerate_path_instances, instance_probabilities
+from hinwalk.walks import walk_mass
 
 
 def random_typed_graph(seed, max_entities=24, max_relations=4):
@@ -52,6 +53,16 @@ def oracle_distribution(graph, source, metapath, cap=500_000):
         end = inst[-1]
         sums[end] = sums.get(end, 0.0) + prob
     return sums
+
+
+def walk_rows(graph, sources, metapath):
+    """One ``walk_mass`` call from the source indices; each row as
+    {end entity name: mass}, in source order."""
+    mass = walk_mass(graph, sources, metapath)
+    names = [graph.entity_name(e) for e in mass.indices.tolist()]
+    data = mass.data.tolist()
+    bounds = mass.indptr.tolist()
+    return [dict(zip(names[a:b], data[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def oracle_counts(graph, source, metapath, cap=500_000):

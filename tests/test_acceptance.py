@@ -27,8 +27,6 @@ from hinwalk import (
     save_model,
     top_k,
     train_logistic,
-    walk_distribution,
-    walk_probability,
 )
 from hinwalk.bench import BenchConfig, run_benchmark
 from hinwalk.io import parse_bundle
@@ -36,7 +34,7 @@ from hinwalk.models import gradient, log_likelihood
 from hinwalk.synth import BibliographicSpec, SyntheticSpec, bibliographic_graph, generate_synthetic
 
 from conftest import P_STAR
-from corpus import auc_pairwise, oracle_counts, oracle_distribution, random_typed_graph
+from corpus import auc_pairwise, oracle_counts, oracle_distribution, random_typed_graph, walk_rows
 
 N_CORPUS_GRAPHS = 200
 CORPUS_MAX_ENTITIES = 12  # well inside the allowed 40-entity / 4-relation corpus bound
@@ -102,15 +100,19 @@ def test_criterion_01_walk_oracle_equivalence():
         graph, _ = corpus_graph(i)
         for path in enumerate_metapaths(graph, "Object", "Object", 4):
             paths_checked += 1
-            for source in graph.entities:
+            rows = walk_rows(graph, range(graph.n_entities), path)  # one walk_mass call
+            for source, mass in zip(graph.entities, rows):
                 oracle = oracle_distribution(graph, source, path)
-                mass = walk_distribution(graph, source, path).mass
                 assert set(mass) == set(oracle)
                 for target, prob in oracle.items():
                     assert abs(mass[target] - prob) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(1, f"{paths_checked} meta-paths over {N_CORPUS_GRAPHS} graphs, 1e-12 agreement, {elapsed:.1f}s")
+    report(
+        1,
+        f"walk_mass on {paths_checked} meta-paths over {N_CORPUS_GRAPHS} graphs, "
+        f"every source row within 1e-12 of the instance sums, {elapsed:.1f}s",
+    )
 
 
 def test_criterion_02_commuting_matrix_equivalence():
@@ -137,10 +139,10 @@ def test_criterion_02_commuting_matrix_equivalence():
 def test_criterion_03_fixture_regression(g1, g2, p_star):
     graph1, _ = g1
     founders = parse_metapath("Person -found-> Organization -found~-> Person")
-    assert walk_probability(graph1, "p1", "p2", founders) == 0.5
+    assert build_features(graph1, [("p1", "p2")], [founders]).values[0, 0] == 0.5
 
     graph2, _ = g2
-    assert walk_probability(graph2, "v1", "v2", p_star) == 0.25
+    assert build_features(graph2, [("v1", "v2")], [p_star]).values[0, 0] == 0.25
 
     result = generate_paths(graph2, ExamplePairSet([("v1", "v2")]), SearchConfig(max_paths=1))
     (emitted,) = result.paths

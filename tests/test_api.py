@@ -1,6 +1,7 @@
 import pytest
 
 import hinwalk
+from hinwalk.graph import HinGraph, StepMatrix
 
 PUBLIC = {
     "BudgetExceededError",
@@ -36,14 +37,11 @@ PUBLIC = {
     "SearchTree",
     "generate_paths",
     "CommutingMatrix",
-    "WalkDistribution",
     "commuting_matrix",
     "enumerate_metapaths",
     "enumerate_path_instances",
     "instance_probabilities",
     "instance_probability",
-    "walk_distribution",
-    "walk_probability",
     "__version__",
 }
 
@@ -69,8 +67,19 @@ def test_every_public_name_resolves():
         ("hinwalk.treesearch", "priority_score"),
         ("hinwalk.models", "combine_scores"),
         ("hinwalk.models", "TrainConfig"),
+        ("hinwalk", "walk_distribution"),
+        ("hinwalk", "walk_probability"),
+        ("hinwalk", "WalkDistribution"),
+        ("hinwalk.walks", "walk_distribution"),
+        ("hinwalk.walks", "walk_probability"),
+        ("hinwalk.walks", "WalkDistribution"),
     ],
 )
 def test_removed_name_is_gone(module, name):
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}", {})
+
+
+@pytest.mark.parametrize("owner, name", [(HinGraph, "has_entity"), (StepMatrix, "walk_t")])
+def test_removed_attribute_is_gone(owner, name):
+    assert not hasattr(owner, name)

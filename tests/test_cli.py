@@ -148,8 +148,11 @@ def test_synth_seed_reproducible(tmp_path):
          "empty type id"),
         (["--type-counts", "A=30,B=30", "--planted", "A -r-> B", "--pairs", "5",
           "--noise-relations", "0", "--noise-rate", "0.2"], "noise_relation_count >= 1"),
+        (["--type-counts", "A=30,B=30,C=-3", "--planted", "A -r-> B", "--pairs", "5"],
+         "type 'C' needs at least 1 entity, got -3"),
     ],
-    ids=["every-pair-connected", "empty-type-name", "noise-without-relations"],
+    ids=["every-pair-connected", "empty-type-name", "noise-without-relations",
+         "unplanted-type-without-entities"],
 )
 def test_unsatisfiable_synth_spec_exits_3(tmp_path, capsys, argv, reason):
     assert main(["synth", "--out-dir", str(tmp_path / "out"), *argv]) == 3
@@ -383,11 +386,13 @@ def test_nan_theta_is_precondition(workdir, capsys):
     [
         ["synth", "--out-dir", "out", "--planted", "A -r-> B", "--type-counts", "A=abc"],
         ["synth", "--out-dir", "out", "--planted", "A -r-> B", "--type-counts", "A=5,B"],
+        ["synth", "--out-dir", "out", "--planted", "A -r-> B", "--type-counts", "A=3,B=30,A=30"],
         ["bench", "--edges", "e.tsv", "--examples", "x.tsv", "--lengths", "1,x"],
         ["bench", "--edges", "e.tsv", "--examples", "x.tsv", "--sizes", "10,5.5"],
         ["simsearch", "--edges", "e.tsv", "--query", "v1", "--theta", "a,b"],
     ],
-    ids=["type-counts-value", "type-counts-entry", "lengths", "sizes", "theta"],
+    ids=["type-counts-value", "type-counts-entry", "type-counts-repeat", "lengths", "sizes",
+         "theta"],
 )
 def test_malformed_list_option_is_argument_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

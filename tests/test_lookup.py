@@ -20,6 +20,7 @@ from hinwalk import (
     parse_metapath,
     top_k,
 )
+from hinwalk.graph import position
 
 # prefixes, case variants and non-ASCII names all come from this alphabet
 NAME = st.text(alphabet="aAbB_é中", min_size=1, max_size=3)
@@ -67,7 +68,6 @@ def test_lookups_match_a_dict(names, extra, typed):
     probes = _probes(names, extra)
     row, col = matrix.row_entities[0], matrix.col_entities[0]
     for p in probes:
-        assert graph.has_entity(p) == (p in entity_at)
         if p in entity_at:
             assert graph.entity_index(p) == entity_at[p]
         else:
@@ -107,7 +107,7 @@ def test_lookups_match_a_dict(names, extra, typed):
 
 def test_non_string_names_are_absent(g1):
     graph, _ = g1
-    assert not graph.has_entity(None)
+    assert position(graph.entities, None) is None
     _expect(UnknownEntityError, "unknown entity 3", graph.entity_index, 3)
     _expect(UnknownRelationError, "unknown relation None", graph.relation_index, None)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hinwalk import ExamplePairSet, SearchConfig, generate_paths, parse_metapath, walk_probability
+from hinwalk import ExamplePairSet, SearchConfig, build_features, generate_paths, parse_metapath
 from hinwalk.io import parse_bundle
 from hinwalk.synth import (
     BibliographicSpec,
@@ -47,8 +47,9 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(seed=3, **{**SMALL, "noise_rate": 0.0})
         bundle = generate_synthetic(spec, tmp_path)
         parsed = parse_bundle(bundle)
-        for row in parsed.example_rows:
-            score = walk_probability(parsed.graph, row.source, row.target, spec.planted)
+        rows = parsed.example_rows
+        features = build_features(parsed.graph, [(r.source, r.target) for r in rows], [spec.planted])
+        for row, score in zip(rows, features.values[:, 0], strict=True):
             if row.label == 1:
                 assert score > 0.0
             else:
@@ -69,6 +70,13 @@ class TestGenerateSynthetic:
             SyntheticSpec(
                 entity_counts={"A": 10, "B": 0, "C": 10},
                 planted=parse_metapath("A -r_ab-> B -r_bc-> C"),
+            )
+
+    def test_negative_count_of_unplanted_type_rejected(self):
+        with pytest.raises(ValueError, match="type 'C' needs at least 1 entity, got -3"):
+            SyntheticSpec(
+                entity_counts={"A": 10, "B": 10, "C": -3},
+                planted=parse_metapath("A -r_ab-> B"),
             )
 
     def test_reserved_relation_name_rejected(self):
@@ -128,8 +136,8 @@ class TestGenerateSynthetic:
         parsed = parse_bundle(generate_synthetic(spec, tmp_path))
         negatives = [r for r in parsed.example_rows + parsed.holdout_rows if r.label == 0]
         assert len(negatives) == 2
-        for row in negatives:
-            assert walk_probability(parsed.graph, row.source, row.target, spec.planted) == 0.0
+        pairs = [(r.source, r.target) for r in negatives]
+        assert not build_features(parsed.graph, pairs, [spec.planted]).values.any()
 
     def test_long_planted_path_warns(self):
         counts = {t: 4 for t in "ABCDEFGH"}

@@ -10,18 +10,16 @@ from hinwalk import (
     generate_paths,
     parse_metapath,
     relations_only,
-    walk_distribution,
-    walk_probability,
 )
 from hinwalk import walks
-from corpus import random_example_pairs, random_typed_graph
+from corpus import oracle_distribution, random_example_pairs, random_typed_graph
 
 
 def simulate_first_emission(graph, examples, beta=0.6, max_depth=6):
     """Exhaustive tree simulation: eager table of all relation sequences with
-    walk tuples from the forward pass, then a literal replay of best-first
-    pops with the (-S, depth, sequence) ordering. Independent of the
-    incremental heap implementation under test."""
+    walk tuples from the path-instance oracle, then a literal replay of
+    best-first pops with the (-S, depth, sequence) ordering. Independent of
+    the incremental heap and the sparse walk under test."""
     sources = sorted({s for s, _ in examples.pairs})
     pair_set = set(examples.pairs)
 
@@ -30,7 +28,7 @@ def simulate_first_emission(graph, examples, beta=0.6, max_depth=6):
         path = relations_only(rels)
         out = {}
         for s in sources:
-            for t, m in walk_distribution(graph, s, path).mass.items():
+            for t, m in oracle_distribution(graph, s, path).items():
                 out[(s, t)] = m
         return out
 
@@ -356,9 +354,11 @@ class TestTupleScores:
             node = stack.pop()
             rels = tree.node_relations(node)
             path = relations_only(rels)
-            assert len(node.tuples) == len(tree.node_tuples(node))
-            for (s, t), f in tree.node_tuples(node).items():
-                assert f == pytest.approx(walk_probability(graph, s, t, path), abs=1e-12)
+            tuples = tree.node_tuples(node)
+            assert len(node.tuples) == len(tuples)
+            oracle = {s: oracle_distribution(graph, s, path) for s, _ in tuples}
+            for (s, t), f in tuples.items():
+                assert f == pytest.approx(oracle[s].get(t, 0.0), abs=1e-12)
             stack.extend(node.children.values())
 
 

@@ -11,6 +11,7 @@ from hinwalk import (
     MetaPath,
     UnknownRelationError,
     UnknownTypeError,
+    build_features,
     build_graph,
     build_index,
     commuting_matrix,
@@ -19,12 +20,10 @@ from hinwalk import (
     instance_probabilities,
     parse_metapath,
     relations_only,
-    walk_distribution,
-    walk_probability,
 )
 from hinwalk import walks
 from hinwalk.walks import walk_mass
-from corpus import oracle_counts, oracle_distribution, random_typed_graph
+from corpus import oracle_counts, oracle_distribution, random_typed_graph, walk_rows
 
 P_FOUNDERS = "Person -found-> Organization -found~-> Person"
 
@@ -102,51 +101,58 @@ def sampled_paths(graph, seed, lengths=(1, 2, 3, 4, 5, 6)):
     return out
 
 
+def walk_row(graph, source, path):
+    """The ``walk_mass`` row of one named source."""
+    (row,) = walk_rows(graph, [graph.entity_index(source)], path)
+    return row
+
+
+def probability(graph, source, target, path):
+    """f(source, target | path), read as one feature."""
+    return build_features(graph, [(source, target)], [path]).values[0, 0]
+
+
 class TestWalkDistribution:
     def test_g2_star(self, g2, p_star):
         graph, _ = g2
-        dist = walk_distribution(graph, "v1", p_star)
-        assert dist.mass == {"v1": 0.5, "v2": 0.25, "v3": 0.25}
+        assert walk_row(graph, "v1", p_star) == {"v1": 0.5, "v2": 0.25, "v3": 0.25}
 
     def test_g1_founders(self, g1):
         graph, _ = g1
-        dist = walk_distribution(graph, "p1", parse_metapath(P_FOUNDERS))
-        assert dist.mass == {"p1": 0.5, "p2": 0.5}
+        assert walk_row(graph, "p1", parse_metapath(P_FOUNDERS)) == {"p1": 0.5, "p2": 0.5}
 
     def test_empty_path_base_case(self, g1):
         graph, _ = g1
-        dist = walk_distribution(graph, "p1", parse_metapath("Object"))
-        assert dist.mass == {"p1": 1.0}
+        assert walk_row(graph, "p1", parse_metapath("Object")) == {"p1": 1.0}
 
     def test_source_type_violation(self, g1):
         graph, _ = g1
-        with pytest.raises(ValueError, match="start type"):
-            walk_distribution(graph, "p1", parse_metapath("Organization -found~-> Person"))
+        with pytest.raises(ValueError, match="'p1' does not carry start type 'Organization'"):
+            walk_row(graph, "p1", parse_metapath("Organization -found~-> Person"))
 
     def test_dead_end_drops_mass(self, g1):
         graph, _ = g1
         # p2 has no inbound found edge: half the mass at depth 1 dies at depth 2
         path = parse_metapath("Organization -found~-> Person -found~-> Person")
-        dist = walk_distribution(graph, "g", path)
-        assert dist.mass == {}
+        assert walk_row(graph, "g", path) == {}
 
 
 class TestWalkProbability:
     def test_g1(self, g1):
         graph, _ = g1
-        assert walk_probability(graph, "p1", "p2", parse_metapath(P_FOUNDERS)) == 0.5
+        assert probability(graph, "p1", "p2", parse_metapath(P_FOUNDERS)) == 0.5
 
     def test_g2(self, g2, p_star):
         graph, _ = g2
-        assert walk_probability(graph, "v1", "v2", p_star) == 0.25
+        assert probability(graph, "v1", "v2", p_star) == 0.25
 
     def test_empty_path_self(self, g2):
         graph, _ = g2
-        assert walk_probability(graph, "v2", "v2", parse_metapath("Venue")) == 1.0
+        assert probability(graph, "v2", "v2", parse_metapath("Venue")) == 1.0
 
     def test_unreachable_is_zero(self, g2, p_star):
         graph, _ = g2
-        assert walk_probability(graph, "v2", "v3", p_star) == 0.0
+        assert probability(graph, "v2", "v3", p_star) == 0.0
 
 
 class TestEnumerateInstances:
@@ -187,43 +193,37 @@ class TestEnumerateInstances:
             instance_probabilities(graph, [], parse_metapath("Person -owns-> Organization"))
 
 
+def rows_match_oracle(graph, path, sources):
+    """One ``walk_mass`` call from ``sources``; each row has the oracle's
+    support and sums within 1e-12. Returns the number of non-empty rows."""
+    rows = walk_rows(graph, sources, path)
+    for source, got in zip(sources, rows):
+        oracle = oracle_distribution(graph, graph.entity_name(source), path)
+        assert set(got) == set(oracle)
+        for t, p in oracle.items():
+            assert got[t] == pytest.approx(p, abs=1e-12)
+    return sum(map(bool, rows))
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(30))
     def test_walk_matches_instance_sums(self, seed):
+        """The untyped case: every realized ``Object`` path, every entity."""
         graph, _ = random_typed_graph(seed, max_entities=14)
-        if not graph.entities:
-            return
         for path in realized_paths(graph):
-            for source in graph.entities:
-                oracle = oracle_distribution(graph, source, path)
-                mass = walk_distribution(graph, source, path).mass
-                assert set(mass) == set(oracle)
-                for t, p in oracle.items():
-                    assert mass[t] == pytest.approx(p, abs=1e-12)
+            assert rows_match_oracle(graph, path, range(graph.n_entities))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_typed_walk_mass_matches_instance_sums(self, seed):
-        """``walk_mass``, the route of features and the tree search, on the
-        sampled walks with every position typed by an assigned type of the
-        walk's entity there: one call per path over every source that
-        carries the start type, each row equal to the oracle's sums."""
+        """The sampled walks with every position typed by an assigned type
+        of the walk's entity there, from every source that carries the start
+        type."""
         graph, _ = random_typed_graph(seed, max_entities=14)
         rng = random.Random(seed)
         rows = 0
         for entities, relations in random_walks(graph, rng):
             path = MetaPath(tuple(assigned_type(graph, rng, e) for e in entities), relations)
-            sources = [
-                e for e in range(graph.n_entities) if path.source_type in graph.closed_types_idx(e)
-            ]
-            mass = walk_mass(graph, sources, path)
-            for row, source in enumerate(sources):
-                oracle = oracle_distribution(graph, graph.entity_name(source), path)
-                cells = slice(mass.indptr[row], mass.indptr[row + 1])
-                got = dict(zip(map(graph.entity_name, mass.indices[cells]), mass.data[cells]))
-                assert set(got) == set(oracle)
-                for t, p in oracle.items():
-                    assert got[t] == pytest.approx(p, abs=1e-12)
-                rows += bool(oracle)
+            rows += rows_match_oracle(graph, path, graph.type_members(path.source_type).tolist())
         assert rows  # the walk's own start reaches its own end
 
     @pytest.mark.parametrize("seed", range(30))
@@ -286,8 +286,9 @@ class TestOracleEquivalence:
     def test_mass_total_vs_dead_ends(self, seed):
         graph, _ = random_typed_graph(seed, max_entities=14)
         for path in realized_paths(graph):
-            for source in graph.entities:
-                total = sum(walk_distribution(graph, source, path).mass.values())
+            rows = walk_rows(graph, range(graph.n_entities), path)
+            for source, row in zip(graph.entities, rows):
+                total = sum(row.values())
                 assert total <= 1.0 + 1e-9
                 if _has_dead_end(graph, source, path):
                     assert total < 1.0 - 1e-9
@@ -322,13 +323,14 @@ class TestComposition:
         for whole in paths[:6]:
             first = MetaPath(whole.node_types[:2], whole.relations[:1])
             second = MetaPath(whole.node_types[1:], whole.relations[1:])
-            for source in graph.entities:
-                head = walk_distribution(graph, source, first).mass
+            sources = range(graph.n_entities)
+            tails = dict(zip(graph.entities, walk_rows(graph, sources, second)))
+            heads = walk_rows(graph, sources, first)
+            for head, direct in zip(heads, walk_rows(graph, sources, whole)):
                 chained = {}
                 for mid, m in head.items():
-                    for t, q in walk_distribution(graph, mid, second).mass.items():
+                    for t, q in tails[mid].items():
                         chained[t] = chained.get(t, 0.0) + m * q
-                direct = walk_distribution(graph, source, whole).mass
                 assert set(chained) == set(direct)
                 for t in direct:
                     assert direct[t] == pytest.approx(chained[t], abs=1e-12)
@@ -358,12 +360,11 @@ class TestTypeWidening:
                 node_types = list(path.node_types)
                 node_types[pos] = ancestor
                 widened = MetaPath(tuple(node_types), path.relations)
-                for source in graph.entities:
-                    if path.node_types[0] not in graph.entity_types(source):
-                        continue
-                    narrow = set(walk_distribution(graph, source, path).mass)
-                    wide = set(walk_distribution(graph, source, widened).mass)
-                    assert narrow <= wide
+                sources = graph.type_members(path.source_type)
+                narrow = walk_rows(graph, sources, path)
+                wide = walk_rows(graph, sources, widened)
+                for narrow_row, wide_row in zip(narrow, wide):
+                    assert set(narrow_row) <= set(wide_row)
 
 
 class TestCommutingMatrix:
@@ -566,7 +567,6 @@ def test_enumeration_is_a_prefix_of_the_longer_one(seed, max_len):
 def test_walk_mass_bounds(seed):
     graph, _ = random_typed_graph(seed, max_entities=10)
     for path in realized_paths(graph, max_len=2):
-        for source in graph.entities:
-            dist = walk_distribution(graph, source, path)
-            assert all(0.0 < m <= 1.0 for m in dist.mass.values())
-            assert sum(dist.mass.values()) <= 1.0 + 1e-9
+        for row in walk_rows(graph, range(graph.n_entities), path):
+            assert all(0.0 < m <= 1.0 for m in row.values())
+            assert sum(row.values()) <= 1.0 + 1e-9
