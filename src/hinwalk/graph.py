@@ -1,26 +1,28 @@
-"""Typed multigraph with bidirectional per-relation adjacency.
+"""Typed multigraph with per-relation adjacency, queryable in both directions.
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
 string order), and the graph holds its own copies of them. A name is found
 by binary search in the sorted names (:func:`position`), so no name-keyed
-dict is kept beside them. Each relation
-direction is stored once, as the boolean compressed sparse row (CSR) matrix
-of its untyped step (:class:`StepMatrix`, row and column type both the
-root): row ``e`` holds entity ``e``'s neighbours, sorted, one ``True`` per
-distinct edge. Neighbour queries read these matrices, and the type-filtered
-steps the walk code multiplies (:meth:`HinGraph.step_matrix`) are cut from
-them, and a cut that keeps every edge is the untyped step itself. Each
-entity's types are kept once, as one small integer code (the narrowest
-unsigned dtype that holds it) into the graph's distinct assigned type sets
-and their closures under the hierarchy; a type's members are derived from
-the codes when asked for (:meth:`HinGraph.type_members`).
+dict is kept beside them. Each relation is stored once, as the boolean
+compressed sparse row (CSR) matrix of its forward untyped step
+(:class:`StepMatrix`, row and column type both the root): row ``e`` holds
+entity ``e``'s targets, sorted, one ``True`` per distinct edge. The inverse
+step is that matrix's transpose, made the first time it is asked for and
+kept from then on. Neighbour queries read these matrices, and the
+type-filtered steps the walk code multiplies (:meth:`HinGraph.step_matrix`)
+are cut from them, and a cut that keeps every edge is the untyped step
+itself. Each entity's types are kept once, as one small integer code (the
+narrowest unsigned dtype that holds it) into the graph's distinct assigned
+type sets and their closures under the hierarchy; a type's members are
+derived from the codes when asked for (:meth:`HinGraph.type_members`).
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -227,12 +229,15 @@ class HinGraph:
     query answers from them alone; the one state that grows is the step
     memo (:meth:`step_matrix`). ``entities`` and ``relations`` are sorted,
     and an entity's or relation's index is its position there; names are
-    looked up by binary search. The untyped step of every relation
-    direction is its stored adjacency. Type-filtered steps are memoized per
-    instance on first use: a filter that keeps every edge memoizes the
-    untyped step itself, and only a filter that drops an edge stores a cut.
-    So the memo holds at most one matrix per distinct (direction, row type,
-    column type) key asked for, and no cut is larger than its untyped step.
+    looked up by binary search. The memo starts with each relation's
+    forward untyped step, its stored adjacency. An inverse untyped step is
+    the forward one's transpose, memoized the first time it is asked for
+    (neighbour queries ask through :meth:`step_matrix` too). Type-filtered
+    steps are memoized per instance on first use: a filter that keeps every
+    edge memoizes the untyped step itself, and only a filter that drops an
+    edge stores a cut. So the memo holds at most one matrix per distinct
+    (direction, row type, column type) key asked for, and no cut is larger
+    than its untyped step.
     Build graphs with :func:`build_graph`, not by calling this constructor
     directly.
     """
@@ -241,7 +246,7 @@ class HinGraph:
         self,
         entities: Sequence[str],
         relations: Sequence[str],
-        adjacency: Sequence[tuple[sp.csr_array, sp.csr_array]],
+        adjacency: Sequence[sp.csr_array],
         type_codes: np.ndarray,
         type_sets: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
@@ -250,12 +255,10 @@ class HinGraph:
         self.relations: tuple[str, ...] = tuple(relations)  # sorted, in index order
         self.hierarchy = hierarchy
         root = hierarchy.root
-        # seeded with each direction's untyped step, the one stored adjacency:
-        # adjacency[relation][inverted] is its boolean edge matrix
+        # seeded with each relation's forward untyped step, the one stored
+        # adjacency: adjacency[relation] is its boolean edge matrix
         self._steps: dict[tuple[int, bool, str, str], StepMatrix] = {
-            (r, inv, root, root): StepMatrix(edges)
-            for r, pair in enumerate(adjacency)
-            for inv, edges in zip((False, True), pair)
+            (r, False, root, root): StepMatrix(edges) for r, edges in enumerate(adjacency)
         }
 
         # the only per-entity type record: entity e's assigned types are
@@ -291,7 +294,7 @@ class HinGraph:
     def neighbors_idx(self, entity: int, relation: int, inverted: bool) -> list[int]:
         """Sorted neighbour indices."""
         root = self.hierarchy.root
-        edges = self._steps[relation, inverted, root, root].edges
+        edges = self.step_matrix(relation, inverted, root, root).edges
         return edges.indices[edges.indptr[entity] : edges.indptr[entity + 1]].tolist()
 
     def entity_rels_idx(self, entity: int) -> tuple[tuple[int, bool], ...]:
@@ -306,22 +309,26 @@ class HinGraph:
     ) -> StepMatrix:
         """The relation's adjacency with rows kept for ``row_type`` members and
         columns for ``col_type`` members, cut from its untyped step; the
-        untyped step itself when the cut would keep every edge."""
+        untyped step itself when the cut would keep every edge. The inverse
+        untyped step is the forward one's transpose."""
         key = (relation, inverted, row_type, col_type)
         step = self._steps.get(key)
         if step is None:
             root = self.hierarchy.root
-            untyped = self._steps[relation, inverted, root, root]
-            edges = untyped.edges
-            n = self.n_entities
-            rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(edges.indptr))
-            keep = np.isin(rows, self.type_members(row_type))
-            keep &= np.isin(edges.indices, self.type_members(col_type))
-            if keep.all():  # the cut would equal the untyped step
-                step = untyped
+            if row_type == col_type == root:  # an inverse: every forward step is seeded
+                step = StepMatrix(self._steps[relation, False, root, root].edges.T.tocsr())
             else:
-                cut = sp.csr_array((edges.data[keep], (rows[keep], edges.indices[keep])), shape=(n, n))
-                step = StepMatrix(cut)
+                untyped = self.step_matrix(relation, inverted, root, root)
+                edges = untyped.edges
+                n = self.n_entities
+                rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(edges.indptr))
+                keep = np.isin(rows, self.type_members(row_type))
+                keep &= np.isin(edges.indices, self.type_members(col_type))
+                if keep.all():  # the cut would equal the untyped step
+                    step = untyped
+                else:
+                    data, cols = edges.data[keep], edges.indices[keep]
+                    step = StepMatrix(sp.csr_array((data, (rows[keep], cols)), shape=(n, n)))
             self._steps[key] = step
         return step
 
@@ -367,14 +374,22 @@ class HinGraph:
         type_sets = map(self._type_sets.__getitem__, np.flatnonzero(seen).tolist())
         return self.hierarchy.lca(*frozenset().union(*type_sets))
 
+    def _type_table(self, type_id: str) -> np.ndarray:
+        """One boolean per type-set code: whether that closed set holds ``type_id``."""
+        if type_id not in self.hierarchy:
+            raise UnknownTypeError(f"unknown type {type_id!r}")
+        return np.array([type_id in closed for closed in self._closed_sets], dtype=bool)
+
+    def carries_type(self, indices: np.ndarray, type_id: str) -> np.ndarray:
+        """Whether each entity at ``indices`` has ``type_id`` among its closed
+        types, as one boolean per index, in the given order."""
+        return self._type_table(type_id)[self._type_codes[indices]]
+
     def type_members(self, type_id: str) -> np.ndarray:
         """Sorted indices of entities whose closed type set contains ``type_id``,
         as a new int32 array on every call: derived from the type codes in
         O(n), not stored."""
-        if type_id not in self.hierarchy:
-            raise UnknownTypeError(f"unknown type {type_id!r}")
-        has_type = np.array([type_id in closed for closed in self._closed_sets], dtype=bool)
-        return np.flatnonzero(has_type[self._type_codes]).astype(INDEX_DTYPE)
+        return np.flatnonzero(self._type_table(type_id)[self._type_codes]).astype(INDEX_DTYPE)
 
 
 def _edges(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_array:
@@ -404,21 +419,29 @@ def _runs(codes: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, int]]]
     return np.argsort(codes, kind="stable"), list(zip([0] + ends[:-1], ends))
 
 
+_BLOCK = 1 << 16  # fields recoded at a time by _codes
+
+
 def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
     """The distinct names of a column of ``size`` fields, sorted, and each
     field's index among them.
 
-    One dict pass gives each field the position where its name was first
-    seen, and numpy maps those positions to sorted order. A file written in
-    sorted order is nearly sorted in first-seen order too, which the sort
-    is quick on."""
-    seen: dict[str, int] = {}  # name -> position where it was first seen
-    at = np.fromiter(map(seen.setdefault, column, count()), INDEX_DTYPE, size)
-    first = list(seen)
-    order = sorted(range(len(first)), key=first.__getitem__)
-    index_at = np.empty(size, INDEX_DTYPE)  # read only at first-seen positions
-    index_at[np.fromiter(seen.values(), INDEX_DTYPE, len(first))[order]] = np.arange(len(first))
-    return list(map(first.__getitem__, order)), index_at[at]
+    One dict pass numbers each name in the order it is first seen, one sort
+    of the distinct names gives each number its sorted index, and the
+    fields' numbers are rewritten to those indices in place, a block at a
+    time, so no second full-length array is made. A file written in sorted
+    order is nearly sorted in first-seen order too, which the sort is quick
+    on."""
+    seen: defaultdict[str, int] = defaultdict(count().__next__)  # name -> first-seen number
+    codes = np.fromiter(map(seen.__getitem__, column), INDEX_DTYPE, size)
+    names = sorted(seen)
+    seen.update(zip(names, count()))  # same keys and order: values become sorted indices
+    index = np.fromiter(seen.values(), INDEX_DTYPE, len(names))  # by first-seen number
+    del seen
+    for start in range(0, size, _BLOCK):
+        block = codes[start : start + _BLOCK]
+        block[:] = index[block]
+    return names, codes
 
 
 def _type_codes(
@@ -464,15 +487,18 @@ def build_graph(
     entities, edges and types do not change afterwards (only its step memo
     grows, see :class:`HinGraph`).
 
-    Duplicate triples collapse to a single edge. Every edge is materialized in
-    both directions. Entities without a type assignment get ``{Object}``.
+    Duplicate triples collapse to a single edge. Each relation's edges are
+    stored once, in their forward direction; the graph makes the inverse
+    direction the first time it is asked for. Entities without a type
+    assignment get ``{Object}``.
     Rejects hierarchies with cycles and type assignments that reference types
     absent from the hierarchy.
 
     Every name the graph and hierarchy keep is a new string made here (see
     :func:`_copies`), so dropping the caller's rows frees their memory.
     While the adjacency is built, what is held beside the rows and the graph
-    is one relation-ordered int32 copy of each edge's source and target.
+    is the int32 entity code of every field, the sources and targets among
+    them in relation order.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
     triples = _rows(triples, 3)
@@ -489,34 +515,35 @@ def build_graph(
             f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
         )
 
+    # each edge's place in relation order (one sort, not one full-length
+    # mask per relation), kept as int32: the relation codes and the int64
+    # permutation are dropped before any entity is coded
+    m = len(triples)
+    relation_names, rel = _codes(_column(triples, 1), m)
+    order, runs = _runs(rel, len(relation_names))
+    del rel
+    order = order.astype(INDEX_DTYPE)
+
     # entity codes of sources, then targets, then typed entities; the last
     # name entities that have no edge and give each type row its entity
-    m = len(triples)
     names, codes = _codes(
         chain(_column(triples, 0), _column(triples, 2), _column(assignments, 0)),
         2 * m + len(assignments),
     )
     entities = _copies("entity", names)
     n = len(entities)
-    relation_names, rel = _codes(_column(triples, 1), m)
     for name in relation_names:
         _check_identifier("relation", name)
     relations = _copies("relation", relation_names)
     type_codes, type_sets = _type_codes(codes[2 * m :], type_at, n, hierarchy)
 
-    # each edge's source and target gathered into relation order once (one
-    # sort, not one full-length mask per relation), through an int32 copy of
-    # the permutation; the whole-file codes, the relation codes and the
-    # permutation are dropped before the first CSR is built
-    order, runs = _runs(rel, len(relations))
-    del rel
-    order = order.astype(INDEX_DTYPE)
-    src, dst = codes[:m][order], codes[m : 2 * m][order]
-    del codes, order
-    adjacency = []
-    for a, b in runs:
-        s, t = src[a:b], dst[a:b]
-        adjacency.append((_edges(s, t, n), _edges(t, s, n)))
+    # each edge's source and target gathered into relation order in place,
+    # through one m-field scratch array at a time
+    src, dst = codes[:m], codes[m : 2 * m]
+    src[:] = src[order]
+    dst[:] = dst[order]
+    del order
+    adjacency = [_edges(src[a:b], dst[a:b], n) for a, b in runs]
 
     graph = HinGraph(entities, relations, adjacency, type_codes, type_sets, hierarchy)
     return graph, hierarchy

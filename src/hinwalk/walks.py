@@ -87,15 +87,14 @@ def walk_mass(graph: HinGraph, sources: Sequence[int], metapath: MetaPath) -> sp
     Every source must carry the meta-path's start type."""
     steps = _step_matrices(graph, metapath)
     start = metapath.source_type
-    for src in sources:
-        if start not in graph.closed_types_idx(src):
-            raise ValueError(
-                f"source {graph.entity_name(src)!r} does not carry start type {start!r}"
-            )
-    k = len(sources)
     # int32 indices, as in the step matrices: scipy copies an int32 operand
     # to int64 on every product with an int64 one
     indices = np.asarray(sources, dtype=INDEX_DTYPE)
+    carried = graph.carries_type(indices, start)
+    if not carried.all():
+        first = int(indices[np.argmin(carried)])  # the first source without it
+        raise ValueError(f"source {graph.entity_name(first)!r} does not carry start type {start!r}")
+    k = len(indices)
     indptr = np.arange(k + 1, dtype=INDEX_DTYPE)
     mass = sp.csr_array((np.ones(k), indices, indptr), shape=(k, graph.n_entities))
     for step in steps:

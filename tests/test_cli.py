@@ -330,11 +330,16 @@ def hub_dir(tmp_path):
         ("types.tsv", types),
         ("hierarchy.tsv", ["A\tObject", "B\tObject", "E\tObject"]),
         ("examples.tsv", ["p1\tt"]),
+        ("labeled.tsv", ["p1\te0\t1.0\t1", "p1\tt\t1.0\t0"]),
         ("pairs.tsv", ["p1\te0"]),
         ("paths.txt", ["A -s-> E"]),
     ]:
         (tmp_path / name).write_text("".join(f"{line}\n" for line in lines))
     return tmp_path
+
+
+# the walk from p1 along A -s-> E stores ten entries
+TRAIN_LP = ["train-lp", "--examples", "labeled.tsv", "--paths", "paths.txt", "--model-out", "model.tsv"]
 
 
 @pytest.mark.parametrize(
@@ -345,13 +350,29 @@ def hub_dir(tmp_path):
         # the search's first expansion makes the 10-entry s product; at the
         # full budget it emits A -r-> B, whose index holds one entry
         ["simsearch", "--examples", "examples.tsv", "--max-paths", "1", "--query", "p1"],
+        TRAIN_LP,
+        ["predict-lp", "--model", "model.tsv", "--pairs", "pairs.tsv", "--output", "pred.jsonl"],
+        # length-2 enumeration extends p1 along s to ten entities
+        ["bench", "--examples", "examples.tsv", "--sizes", "1", "--lengths", "1,2", "--repeats", "1"],
     ],
 )
 def test_oversized_product_exits_4(hub_dir, monkeypatch, argv):
-    command, *options = [str(hub_dir / a) if (hub_dir / a).is_file() else a for a in argv]
-    assert main([command, *bundle_args(hub_dir), *options]) == 0
+    def run(argv):
+        command, *options = [str(hub_dir / a) if a.endswith((".tsv", ".txt", ".jsonl")) else a
+                             for a in argv]
+        return main([command, *bundle_args(hub_dir), *options])
+
+    # the model train-lp writes, or the report predict-lp writes
+    written = {"train-lp": "model.tsv", "predict-lp": "pred.jsonl"}.get(argv[0])
+    if argv[0] == "predict-lp":
+        assert run(TRAIN_LP) == 0  # its model, trained at the full budget
+    assert run(argv) == 0
+    if written:
+        (hub_dir / written).unlink()
     monkeypatch.setattr(walks, "NNZ_BUDGET", 5)
-    assert main([command, *bundle_args(hub_dir), *options]) == 4
+    assert run(argv) == 4
+    if written:
+        assert not (hub_dir / written).exists()
 
 
 def test_nan_l2_is_precondition(workdir, capsys):

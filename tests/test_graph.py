@@ -108,6 +108,15 @@ def _reference_edges(triples, assignments):
     return edges
 
 
+def assert_same_csr(a, b):
+    """Equal shape, and equal CSR arrays in dtype and value."""
+    assert a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+    assert a.has_canonical_format == b.has_canonical_format
+
+
 class TestBuildGraph:
     def test_g1_counts(self, g1):
         graph, _ = g1
@@ -225,19 +234,15 @@ class TestBuildGraph:
         want = _reference_edges(triples, assignments)
         assert len(got) == len(want) == 2 * len({r for _, r, _ in triples})
         for a, b in zip(got, want):
-            assert a.shape == b.shape
-            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
-                assert x.dtype == y.dtype
-                assert np.array_equal(x, y)
-            assert a.has_canonical_format == b.has_canonical_format
+            assert_same_csr(a, b)
 
     def test_build_holds_one_copy_of_the_endpoints(self):
-        # 60k random triples over 2,000 entities and 30 relations, so the 60
-        # directions' CSRs are built last and set the peak: with one int32
-        # relation-ordered copy of each edge's sources and targets beside the
-        # graph, the peak above what the graph keeps traces about 0.52 MB;
-        # with the int32 codes of every row, the relation codes and an int64
-        # permutation all alive as well, about 1.26 MB
+        # 60k random triples over 2,000 entities and 30 relations, so the 30
+        # forward CSRs are built last and set the peak: with the int32 entity
+        # code of every field beside the graph, the sources and targets among
+        # them gathered into relation order in place, the peak above what the
+        # graph keeps traces about 0.52 MB; with the relation-ordered
+        # endpoints gathered into new arrays beside the codes, about 1.0 MB
         rng = random.Random(0)
         names = [f"e{i:05d}" for i in range(2_000)]
         relations = [f"r{i:02d}" for i in range(30)]
@@ -251,8 +256,32 @@ class TestBuildGraph:
         finally:
             tracemalloc.stop()
         assert graph.n_entities == 2_000 and len(graph.directions) == 60
-        assert kept - before > 1_000_000  # the graph: indptr, indices and data of 60 CSRs
+        root = graph.hierarchy.root
+        forward = [graph.step_matrix(r, False, root, root).edges for r in range(30)]
+        assert kept - before >= sum(a.nbytes for m in forward for a in (m.indptr, m.indices, m.data))
         assert peak - kept < 12 * len(triples)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inverse_step_is_made_on_first_use(self, seed):
+        rng = random.Random(seed)
+        names = [f"e{i}" for i in range(8)]
+        triples = [(rng.choice(names), f"r{rng.randint(0, 2)}", rng.choice(names)) for _ in range(20)]
+        graph, hierarchy = build_graph(triples)
+        root, n = hierarchy.root, graph.n_entities
+        assert not [key for key in graph._steps if key[1]]  # only forward steps are built
+        for r, relation in enumerate(graph.relations):
+            key = (r, True, root, root)
+            if r % 2:
+                graph.neighbors_idx(0, r, True)
+            else:
+                graph.step_matrix(*key)
+            inverse = graph._steps[key]
+            assert graph.step_matrix(*key) is inverse
+            graph.neighbors_idx(1, r, True)
+            assert graph._steps[key] is inverse
+            ends = [(s, t) for s, rel, t in triples if rel == relation]
+            s, t = (np.array([graph.entity_index(e) for e in col], dtype=np.int32) for col in zip(*ends))
+            assert_same_csr(inverse.edges, _edges(t, s, n))
 
     def test_multi_typed_entities_share_type_sets(self):
         graph, _ = build_graph(
@@ -377,6 +406,19 @@ class TestNames:
         copies = _copies("entity", names)
         assert copies == names
         assert not set(map(id, copies)) & set(map(id, names))
+
+    def test_codes_hold_no_second_full_length_array(self):
+        # 300k fields over 2,000 names: beside the 1.2 MB of codes returned,
+        # coding holds its dict, the sorted names and one block of fields
+        # (about 0.34 MB traced), never a second array as long as the column
+        column = [f"e{i:04d}" for i in range(2_000)][::-1] * 150
+        tracemalloc.start()
+        try:
+            _, codes = _codes(iter(column), len(column))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < codes.nbytes // 2
 
     @given(column=st.lists(st.sampled_from(["b", "a", "c", "ab", "é"])))
     @settings(max_examples=100, deadline=None)

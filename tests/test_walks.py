@@ -437,6 +437,22 @@ class TestWalkMass:
                 assert mass.indices.dtype == np.int32
                 assert mass.indptr.dtype == np.int32
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_first_source_without_the_start_type_is_named(self, g2, p_star, as_array):
+        graph, _ = g2
+        # x and a1 carry no Venue type; x comes first, a1 has the smaller index
+        sources = [graph.entity_index(e) for e in ("v1", "x", "v2", "a1", "v3")]
+        if as_array:
+            sources = np.array(sources, dtype=np.int32)
+        with pytest.raises(ValueError, match="source 'x' does not carry start type 'Venue'"):
+            walk_mass(graph, sources, p_star)
+
+    @pytest.mark.parametrize("sources", [[], np.array([], dtype=np.int32)])
+    def test_no_sources_give_no_rows(self, g2, p_star, sources):
+        graph, _ = g2
+        mass = walk_mass(graph, sources, p_star)
+        assert mass.shape == (0, graph.n_entities) and mass.nnz == 0
+
     def test_nnz_budget(self, g2, p_star, monkeypatch):
         graph, _ = g2
         sources = [graph.entity_index(v) for v in ("v1", "v2", "v3")]
