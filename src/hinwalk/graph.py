@@ -2,14 +2,15 @@
 
 Entities, relations and types are plain strings at the API surface; they are
 interned to dense integer indices at build time (index order equals sorted
-string order), and the graph holds its own copies of them. A name is found
-by binary search in the sorted names (:func:`position`), so no name-keyed
-dict is kept beside them. Each relation is stored once, as the boolean
-compressed sparse row (CSR) matrix of its forward untyped step
-(:class:`StepMatrix`, row and column type both the root): row ``e`` holds
-entity ``e``'s targets, sorted, one ``True`` per distinct edge. The inverse
-step is that matrix's transpose, made the first time it is asked for and
-kept from then on. Neighbour queries read these matrices, and the
+string order), and the graph holds its own copies of them, the entity
+names as one text with no string object per entity (:class:`NameTable`).
+A name is found by binary search in the sorted names (:func:`position`),
+so no name-keyed dict is kept beside them. Each relation is stored once,
+as the boolean compressed sparse row (CSR) matrix of its forward untyped
+step (:class:`StepMatrix`, row and column type both the root): row ``e``
+holds entity ``e``'s targets, sorted, one ``True`` per distinct edge. The
+inverse step is that matrix's transpose, made the first time it is asked
+for and kept from then on. Neighbour queries read these matrices, and the
 type-filtered steps the walk code multiplies (:meth:`HinGraph.step_matrix`)
 are cut from them, and a cut that keeps every edge is the untyped step
 itself. Each entity's types are kept once, as one small integer code (the
@@ -21,6 +22,7 @@ derived from the codes when asked for (:meth:`HinGraph.type_members`).
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -93,21 +95,57 @@ def check_sorted(row_entities: Sequence[str], col_entities: Sequence[str]) -> No
             raise ValueError(f"{kind}_entities must be strictly ascending")
 
 
-def _copies(kind: str, names: list[str]) -> list[str]:
-    """New string objects equal to the sorted ``names``, cut from one joined
-    text, so that the graph keeps no string of its caller's rows: a kept
-    string keeps alive the whole memory arena it shares with them.
-    (One-character Latin-1 names are interpreter singletons either way.)
-    Raises ``ValueError`` for the smallest name that is not a valid id.
+# whitespace but the newline that ends each name in a NameTable's text
+_SPACE = re.compile(r"[^\S\n]")
 
-    The text cuts back into the names exactly when every name is non-empty
-    and has no whitespace: ``split()`` then finds one piece per name and
-    drops only the newline after each."""
-    text = "\n".join([*names, ""])  # a trailing newline: a new text even for one name
-    copies = text.split()
-    if len(copies) != len(names) or len(text) != len(names) + sum(map(len, copies)) or "->" in text:
-        _check_identifier(kind, next(filterfalse(_ID.fullmatch, names)))
-    return copies
+
+class NameTable(Sequence[str]):
+    """Sorted distinct names kept as one text, not one string object each.
+
+    The text is the names, each followed by a newline, and ``_starts`` holds
+    where each name starts, plus one offset past the text's end: name ``i``
+    is ``_text[_starts[i] : _starts[i + 1] - 1]``, a new string on every
+    read (one-character Latin-1 names are interpreter singletons either
+    way). So the table keeps none of its caller's strings, which would keep
+    alive the whole memory arenas they share with the caller's rows, and
+    costs one character and one 8-byte offset per name beyond the names'
+    characters. Names are found by binary search (:func:`position`), which
+    ``in`` uses too. Raises ``ValueError`` for the smallest name that is not
+    a valid id.
+
+    Every name is a valid id exactly when none is empty and the text holds
+    one newline per name, no other whitespace and no ``->``, which is checked
+    on the whole text at once."""
+
+    __slots__ = ("_text", "_starts")
+
+    def __init__(self, kind: str, names: Sequence[str]):
+        n = len(names)
+        text = "\n".join([*names, ""])
+        lengths = np.fromiter(map(len, names), np.int64, n)
+        if text.count("\n") != n or not lengths.all() or "->" in text or _SPACE.search(text):
+            _check_identifier(kind, next(filterfalse(_ID.fullmatch, names)))
+        starts = np.zeros(n + 1, np.int64)
+        np.cumsum(lengths + 1, out=starts[1:])
+        self._text = text
+        self._starts = array("q", starts.tobytes())
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, i: int) -> str:
+        starts = self._starts
+        if i < 0:
+            i += len(starts) - 1
+            if i < 0:
+                raise IndexError("name index out of range")
+        return self._text[starts[i] : starts[i + 1] - 1]  # IndexError past the last name
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self._text.split("\n"), len(self))
+
+    def __contains__(self, name: object) -> bool:
+        return position(self, name) is not None
 
 
 class TypeHierarchy:
@@ -133,7 +171,7 @@ class TypeHierarchy:
             parents.setdefault(child, set()).add(parent)
 
         names = sorted(types)
-        own = dict(zip(names, _copies("type", names)))
+        own = dict(zip(names, NameTable("type", names)))
         self.root = own[ROOT_TYPE]
         self._parents: dict[str, tuple[str, ...]] = {
             own[t]: tuple(sorted(map(own.__getitem__, parents.get(t, ())))) for t in names
@@ -227,12 +265,14 @@ class HinGraph:
 
     Entities, edges and types do not change after construction, and every
     query answers from them alone; the one state that grows is the step
-    memo (:meth:`step_matrix`). ``entities`` and ``relations`` are sorted,
-    and an entity's or relation's index is its position there; names are
-    looked up by binary search. The memo starts with each relation's
-    forward untyped step, its stored adjacency. An inverse untyped step is
-    the forward one's transpose, memoized the first time it is asked for
-    (neighbour queries ask through :meth:`step_matrix` too). Type-filtered
+    memo (:meth:`step_matrix`). ``entities`` (a :class:`NameTable`) and
+    ``relations`` (a tuple) are sorted, and an entity's or relation's index
+    is its position there; names are looked up by binary search, and
+    :meth:`entity_name` cuts a new string from the table. The memo starts
+    with each relation's forward untyped step, its stored adjacency. An
+    inverse untyped step is the forward one's transpose, memoized the first
+    time it is asked for (neighbour queries ask through :meth:`step_matrix`
+    too). Type-filtered
     steps are memoized per instance on first use: a filter that keeps every
     edge memoizes the untyped step itself, and only a filter that drops an
     edge stores a cut. So the memo holds at most one matrix per distinct
@@ -244,14 +284,14 @@ class HinGraph:
 
     def __init__(
         self,
-        entities: Sequence[str],
+        entities: NameTable,
         relations: Sequence[str],
         adjacency: Sequence[sp.csr_array],
         type_codes: np.ndarray,
         type_sets: Sequence[frozenset[str]],
         hierarchy: TypeHierarchy,
     ):
-        self.entities: tuple[str, ...] = tuple(entities)  # sorted, in index order
+        self.entities = entities  # sorted, in index order
         self.relations: tuple[str, ...] = tuple(relations)  # sorted, in index order
         self.hierarchy = hierarchy
         root = hierarchy.root
@@ -444,6 +484,16 @@ def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
     return names, codes
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique`` gives them: one sort and
+    a mask of each value unlike the one before it, in place of numpy's
+    hash-based ``unique``, which is many times slower on int64 keys."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def _type_codes(
     entities: np.ndarray, types: np.ndarray, n: int, hierarchy: TypeHierarchy
 ) -> tuple[np.ndarray, list[frozenset[str]]]:
@@ -456,7 +506,7 @@ def _type_codes(
     names = hierarchy.types  # sorted: type indices order sets as their names do
     k = len(names)
     # the distinct (entity, type) pairs, by entity, then type
-    ent, typ = np.divmod(np.unique(entities.astype(np.int64) * k + types), k)
+    ent, typ = np.divmod(_distinct(entities.astype(np.int64) * k + types), k)
     sizes = np.bincount(ent, minlength=n)
     # the one type of an entity with at most one, the root's if it has none
     single = np.full(n, names.index(hierarchy.root))
@@ -466,7 +516,7 @@ def _type_codes(
     multi = np.flatnonzero(~plain)
     ends = np.cumsum(sizes)[multi].tolist()
     multi_sets = [tuple(typ[e - z : e].tolist()) for e, z in zip(ends, sizes[multi].tolist())]
-    singles = np.unique(single[plain]).tolist()
+    singles = _distinct(single[plain]).tolist()
     order = sorted({*zip(singles), *multi_sets})
     code = dict(zip(order, count()))
     dtype = np.min_scalar_type(max(len(order) - 1, 0))
@@ -494,8 +544,9 @@ def build_graph(
     Rejects hierarchies with cycles and type assignments that reference types
     absent from the hierarchy.
 
-    Every name the graph and hierarchy keep is a new string made here (see
-    :func:`_copies`), so dropping the caller's rows frees their memory.
+    The graph keeps its entity names as one :class:`NameTable`, and every
+    relation and type name the graph and hierarchy keep is a new string cut
+    from one too, so dropping the caller's rows frees their memory.
     While the adjacency is built, what is held beside the rows and the graph
     is the int32 entity code of every field, the sources and targets among
     them in relation order.
@@ -530,11 +581,11 @@ def build_graph(
         chain(_column(triples, 0), _column(triples, 2), _column(assignments, 0)),
         2 * m + len(assignments),
     )
-    entities = _copies("entity", names)
+    entities = NameTable("entity", names)
     n = len(entities)
     for name in relation_names:
         _check_identifier("relation", name)
-    relations = _copies("relation", relation_names)
+    relations = NameTable("relation", relation_names)
     type_codes, type_sets = _type_codes(codes[2 * m :], type_at, n, hierarchy)
 
     # each edge's source and target gathered into relation order in place,

@@ -20,7 +20,7 @@ from hinwalk import (
     parse_metapath,
 )
 from hinwalk import io as hio
-from hinwalk.graph import _ID, _check_identifier, _codes, _copies, _edges
+from hinwalk.graph import _ID, NameTable, _check_identifier, _codes, _distinct, _edges, position
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -83,7 +83,7 @@ def _state(graph, hierarchy):
     ]
     members = {t: (a.dtype.str, a.tolist()) for t in hierarchy.types for a in [graph.type_members(t)]}
     types = [(graph.assigned_types(e), graph.entity_types(e)) for e in graph.entities]
-    return graph.entities, graph.relations, hierarchy.types, types, members, arrays
+    return tuple(graph.entities), graph.relations, hierarchy.types, types, members, arrays
 
 
 def _reference_edges(triples, assignments):
@@ -127,13 +127,13 @@ class TestBuildGraph:
 
     def test_empty_inputs(self):
         graph, hierarchy = build_graph([], [], [])
-        assert graph.entities == ()
+        assert tuple(graph.entities) == ()
         assert hierarchy.types == ("Object",)
 
     def test_duplicate_triples_collapse(self, g1):
         graph, _ = g1
         dup, _ = build_graph(G1_TRIPLES + [("p1", "found", "g")], G1_TYPES, G1_HIERARCHY)
-        assert dup.entities == graph.entities
+        assert tuple(dup.entities) == tuple(graph.entities)
         assert dup.out_neighbors("g", FOUND_INV) == graph.out_neighbors("g", FOUND_INV)
         one_step = commuting_matrix(dup, parse_metapath("Person -found-> Company"))
         assert one_step.count("p1", "g") == 1
@@ -187,7 +187,7 @@ class TestBuildGraph:
         hier = [("T", "Object"), ("U", "Object")]
         listed, _ = build_graph(triples, types, hier)
         generated, _ = build_graph((t for t in triples), (t for t in types), iter(hier))
-        assert generated.entities == listed.entities
+        assert tuple(generated.entities) == tuple(listed.entities)
         assert generated.relations == listed.relations
         for e in listed.entities:
             assert generated.assigned_types(e) == listed.assigned_types(e)
@@ -351,7 +351,7 @@ class TestBuildGraph:
     def test_names_are_checked_apart(self):
         # "a-" and ">b" are joined by a newline for the check, never into "->"
         graph, _ = build_graph([("a-", "r", ">b")], [("c-", "Object"), (">d", "Object")], [])
-        assert graph.entities == (">b", ">d", "a-", "c-")
+        assert tuple(graph.entities) == (">b", ">d", "a-", "c-")
 
     def test_first_bad_entity_id_in_name_order_reported(self):
         with pytest.raises(ValueError, match="'b c'"):
@@ -399,13 +399,82 @@ class TestNames:
                 _check_identifier(kind, name)
             return names
 
-        assert _outcome(_copies, "entity", names) == _outcome(reference, "entity", names)
+        def table(kind, names):
+            return list(NameTable(kind, names))
+
+        assert _outcome(table, "entity", names) == _outcome(reference, "entity", names)
 
     @pytest.mark.parametrize("names", [[], ["ab"], ["ab", "cd", "éé", "名前"]])
     def test_copies_are_new_strings(self, names):
-        copies = _copies("entity", names)
-        assert copies == names
-        assert not set(map(id, copies)) & set(map(id, names))
+        table = NameTable("entity", names)
+        for copies in (list(table), [table[i] for i in range(len(names))]):
+            assert copies == names
+            assert not set(map(id, copies)) & set(map(id, names))
+
+    @given(
+        names=st.lists(
+            # non-ASCII and astral characters, one-character Latin-1 names,
+            # prefix pairs, and "~", ">" and "-" in any order but "->"
+            st.text("ab~>-éÿΩ\U0001d538", min_size=1, max_size=4).filter(lambda s: "->" not in s),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    @example(names=["a", "ab"])
+    @settings(max_examples=200, deadline=None)
+    def test_entity_table_reads_like_the_names(self, names):
+        names.sort()
+        triples = [(a, "r", b) for a, b in zip(names, names[1:] + names[:1])]
+        graph, _ = build_graph(triples)
+        entities, n = graph.entities, len(names)
+        assert list(entities) == names
+        assert len(entities) == graph.n_entities == n
+        assert [entities[i - n] for i in range(n)] == names
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                entities[i]
+        for i, name in enumerate(names):
+            assert graph.entity_index(name) == i and graph.entity_name(i) == name
+            assert graph.entity_name(graph.entity_index(name)) == name
+            assert name in entities
+        # before the first name, after the last, and between two names
+        absent = {"", names[0][:-1], names[-1] + "a", "\U0010ffff"}
+        absent.update(a + "\x00" for a in names)
+        for p in sorted(absent - set(names)):
+            assert position(entities, p) is None and p not in entities
+            with pytest.raises(UnknownEntityError, match=f"^{re.escape(f'unknown entity {p!r}')}$"):
+                graph.entity_index(p)
+        for p in (None, 3, b"a", ("a",)):
+            assert position(entities, p) is None and p not in entities
+
+    def test_entity_names_keep_no_string_each(self):
+        # a tuple of eight-character strings keeps a 49-byte string header
+        # and an 8-byte slot per name beside its characters
+        names = [f"e{i:07d}" for i in range(50_000)]
+        triples = [(a, "r", b) for a, b in zip(names, names[1:])]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entities = build_graph(triples)[0].entities
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert list(entities) == names
+        assert kept - 8 * len(names) < 24 * len(names)
+
+    @given(
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40)
+        | st.builds(lambda v, k: [v] * k, st.integers(-5, 5), st.integers(0, 6))
+    )
+    @example(values=[])
+    @example(values=[7, 7, 7])
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_is_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        distinct = _distinct(a)
+        assert distinct.dtype == np.int64
+        assert distinct.tolist() == np.unique(a).tolist()
 
     def test_codes_hold_no_second_full_length_array(self):
         # 300k fields over 2,000 names: beside the 1.2 MB of codes returned,
@@ -690,7 +759,7 @@ class TestInvariants:
         random.Random(shuffle_seed).shuffle(shuffled_types)
         a, _ = build_graph(triples, types, hier)
         b, _ = build_graph(shuffled, shuffled_types, hier)
-        assert a.entities == b.entities
+        assert tuple(a.entities) == tuple(b.entities)
         assert a.relations == b.relations
         for e in a.entities:
             for r in a.relations:

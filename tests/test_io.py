@@ -38,7 +38,7 @@ class TestParseBundle:
     def test_g1_files_match_programmatic_graph(self, g1_dir, g1):
         expected_graph, _ = g1
         parsed = parse_bundle(bundle_for(g1_dir))
-        assert parsed.graph.entities == expected_graph.entities
+        assert tuple(parsed.graph.entities) == tuple(expected_graph.entities)
         assert parsed.graph.relations == expected_graph.relations
         found_inv = DirectedRelation("found", True)
         assert parsed.graph.out_neighbors("g", found_inv) == ["p1", "p2"]
@@ -62,7 +62,7 @@ class TestParseBundle:
         path = tmp_path / "edges.tsv"
         path.write_text("# header comment\n\na\tr\tb\n")
         parsed = parse_bundle(DatasetBundle(edges_path=path))
-        assert parsed.graph.entities == ("a", "b")
+        assert tuple(parsed.graph.entities) == ("a", "b")
 
 
 class TestNameRows:
@@ -286,7 +286,7 @@ class TestRoundTrip:
         assert (again / "edges.tsv").read_bytes() == (out / "edges.tsv").read_bytes()
         assert (again / "examples.tsv").read_bytes() == (out / "examples.tsv").read_bytes()
 
-        assert once.graph.entities == parsed.graph.entities
+        assert tuple(once.graph.entities) == tuple(parsed.graph.entities)
         for e in parsed.graph.entities:
             assert once.graph.entity_types(e) == parsed.graph.entity_types(e)
             for rel in parsed.graph.relations:
