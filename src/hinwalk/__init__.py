@@ -20,7 +20,7 @@ from .models import (
     save_model,
     train_logistic,
 )
-from .simsearch import SimilarityIndex, build_index, top_k
+from .simsearch import SimilarityIndex, build_index, commuting_matrix, top_k
 from .treesearch import (
     ExamplePairSet,
     GeneratedPath,
@@ -30,8 +30,6 @@ from .treesearch import (
     generate_paths,
 )
 from .walks import (
-    CommutingMatrix,
-    commuting_matrix,
     enumerate_metapaths,
     enumerate_path_instances,
     instance_probabilities,
@@ -73,7 +71,6 @@ __all__ = [
     "SearchConfig",
     "SearchTree",
     "generate_paths",
-    "CommutingMatrix",
     "commuting_matrix",
     "enumerate_metapaths",
     "enumerate_path_instances",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, count, filterfalse, islice, repeat
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -85,14 +85,6 @@ def position(names: Sequence[str], name: str) -> int | None:
     except (IndexError, TypeError):  # past the last name; a name no string compares with
         pass
     return None
-
-
-def check_sorted(row_entities: Sequence[str], col_entities: Sequence[str]) -> None:
-    """Raise ``ValueError`` unless both name sequences are strictly
-    ascending, as :func:`position` needs to look names up in them."""
-    for kind, names in (("row", row_entities), ("col", col_entities)):
-        if not all(map(lt, names, islice(names, 1, None))):
-            raise ValueError(f"{kind}_entities must be strictly ascending")
 
 
 # whitespace but the newline that ends each name in a NameTable's text

@@ -24,8 +24,9 @@ mass of only the nodes it pops, making a frontier node's mass again from its
 parent when it is needed (:mod:`hinwalk.treesearch`). Commuting counts are
 built inside their row x column block as two half-path products that grow
 from the outside in, from the rows and from the columns, and meet in the
-middle in one final product (:func:`block_counts`). The similarity index
-multiplies the halves in float64, which is exact for counts below 2**53.
+middle in one final product (:func:`block_counts`). :mod:`hinwalk.simsearch`
+makes its count indexes from these blocks; a weighted index multiplies the
+halves in float64, which is exact for counts below 2**53.
 Walk mass has one route, :func:`walk_mass`, which walks all its sources at
 once, one row each; one pair's probability is one entry of it.
 
@@ -38,14 +39,13 @@ the oracle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BudgetExceededError, UnknownEntityError, UnknownTypeError
-from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix, check_sorted, position
+from .errors import BudgetExceededError, UnknownTypeError
+from .graph import INDEX_DTYPE, DirectedRelation, HinGraph, StepMatrix
 from .metapath import MetaPath, relations_only
 
 NNZ_BUDGET = 50_000_000  # stored entries per sparse product, read at call time
@@ -175,34 +175,6 @@ def instance_probability(graph: HinGraph, instance: Sequence[str], metapath: Met
     return instance_probabilities(graph, [instance], metapath)[0]
 
 
-@dataclass
-class CommutingMatrix:
-    """Path-instance counts between start-type and end-type entities.
-
-    ``row_entities`` and ``col_entities`` are strictly ascending."""
-
-    metapath: MetaPath
-    row_entities: tuple[str, ...]
-    col_entities: tuple[str, ...]
-    matrix: sp.csr_array  # int64 counts, aligned to row/col entity order
-
-    def __post_init__(self) -> None:
-        check_sorted(self.row_entities, self.col_entities)
-
-    def count(self, row: str, col: str) -> int:
-        i = position(self.row_entities, row)
-        j = position(self.col_entities, col)
-        if i is None or j is None:
-            raise UnknownEntityError(f"({row!r}, {col!r}) outside matrix entities")
-        return int(self.matrix[i, j])
-
-    def entries(self) -> Iterator[tuple[str, str, int]]:
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield self.row_entities[coo.row[k]], self.col_entities[coo.col[k]], int(coo.data[k])
-
-
 def block_counts(
     graph: HinGraph,
     metapath: MetaPath,
@@ -243,19 +215,6 @@ def block_counts(
     left = left.astype(dtype, copy=False)
     right = right.astype(dtype, copy=False)
     return sparse_product(left, right)
-
-
-def commuting_matrix(graph: HinGraph, metapath: MetaPath) -> CommutingMatrix:
-    """Matrix of path-instance counts; rows/cols are start/end type members."""
-    rows = graph.type_members(metapath.source_type)
-    cols = graph.type_members(metapath.target_type)
-    names = graph.entities
-    return CommutingMatrix(
-        metapath=metapath,
-        row_entities=tuple(names[i] for i in rows.tolist()),
-        col_entities=tuple(names[j] for j in cols.tolist()),
-        matrix=block_counts(graph, metapath, rows, cols),
-    )
 
 
 def enumerate_metapaths(

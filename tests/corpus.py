@@ -65,6 +65,14 @@ def walk_rows(graph, sources, metapath):
     return [dict(zip(names[a:b], data[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
+def stored_cells(index):
+    """{(row name, column name): value} of an index's stored entries."""
+    m = index.matrix.tocoo()
+    names = index.graph.entities
+    rows, cols = index.rows[m.row].tolist(), index.cols[m.col].tolist()
+    return {(names[i], names[j]): v for i, j, v in zip(rows, cols, m.data.tolist())}
+
+
 def oracle_counts(graph, source, metapath, cap=500_000):
     """Path-instance counts per end entity."""
     counts = {}

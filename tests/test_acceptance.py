@@ -122,10 +122,10 @@ def test_criterion_02_commuting_matrix_equivalence():
         graph, _ = corpus_graph(i)
         for path in enumerate_metapaths(graph, "Object", "Object", 4):
             matrix = commuting_matrix(graph, path)
-            col_index = {c: j for j, c in enumerate(matrix.col_entities)}
+            col_index = {graph.entities[e]: j for j, e in enumerate(matrix.cols.tolist())}
             dense = matrix.matrix.toarray()
-            for row_pos, source in enumerate(matrix.row_entities):
-                counts = oracle_counts(graph, source, path)
+            for row_pos, e in enumerate(matrix.rows.tolist()):
+                counts = oracle_counts(graph, graph.entities[e], path)
                 row = dense[row_pos]
                 for target, n in counts.items():
                     assert row[col_index[target]] == n

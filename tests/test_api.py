@@ -36,7 +36,6 @@ PUBLIC = {
     "SearchConfig",
     "SearchTree",
     "generate_paths",
-    "CommutingMatrix",
     "commuting_matrix",
     "enumerate_metapaths",
     "enumerate_path_instances",

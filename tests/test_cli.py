@@ -402,6 +402,24 @@ def test_nan_theta_is_precondition(workdir, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("theta", ["1e308,1e308", "1e308,-1e308"], ids=["inf", "nan"])
+def test_non_finite_scores_are_precondition(workdir, capsys, theta):
+    paths_file = workdir / "paths.txt"
+    paths_file.write_text(
+        "Venue -publishIn~-> Paper -authorOf~-> Author -authorOf-> Paper -publishIn-> Venue\n" * 2
+    )
+    report = workdir / "sim.jsonl"
+    code = main(
+        ["simsearch", *bundle_args(workdir), "--paths", str(paths_file),
+         "--query", "v1", "--theta", theta, "--output", str(report)]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "weighted scores are not finite" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -136,7 +136,7 @@ class TestBuildGraph:
         assert tuple(dup.entities) == tuple(graph.entities)
         assert dup.out_neighbors("g", FOUND_INV) == graph.out_neighbors("g", FOUND_INV)
         one_step = commuting_matrix(dup, parse_metapath("Person -found-> Company"))
-        assert one_step.count("p1", "g") == 1
+        assert one_step.score("p1", "g") == 1
 
     def test_hierarchy_cycle_rejected(self):
         with pytest.raises(HierarchyError, match="cycle"):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from hinwalk import (
     UnknownEntityError,
+    build_graph,
     build_index,
     commuting_matrix,
     enumerate_metapaths,
@@ -9,8 +12,9 @@ from hinwalk import (
     top_k,
 )
 from hinwalk import walks
+from hinwalk.graph import NameTable
 from hinwalk.synth import BibliographicSpec, bibliographic_graph
-from corpus import oracle_counts, random_typed_graph
+from corpus import oracle_counts, random_typed_graph, stored_cells
 
 
 class TestBuildIndex:
@@ -18,21 +22,21 @@ class TestBuildIndex:
         graph, _ = g2
         index = build_index(graph, [p_star], [1.0])
         reference = commuting_matrix(graph, p_star)
-        for r, c, n in reference.entries():
+        for (r, c), n in stored_cells(reference).items():
             assert index.score(r, c) == float(n)
 
     def test_convex_duplicate(self, g2, p_star):
         graph, _ = g2
         index = build_index(graph, [p_star, p_star], [0.5, 0.5])
         reference = commuting_matrix(graph, p_star)
-        for r, c, n in reference.entries():
+        for (r, c), n in stored_cells(reference).items():
             assert index.score(r, c) == float(n)
 
     def test_scalar_doubling(self, g2, p_star):
         graph, _ = g2
         doubled = build_index(graph, [p_star], [2.0])
         reference = commuting_matrix(graph, p_star)
-        for r, c, n in reference.entries():
+        for (r, c), n in stored_cells(reference).items():
             assert doubled.score(r, c) == 2.0 * n
 
     def test_uniform_default(self, g2, p_star):
@@ -82,6 +86,41 @@ class TestBuildIndex:
         graph, _ = g2
         with pytest.raises(ValueError, match="finite"):
             build_index(graph, [p_star, p_star], [1.0, theta])
+
+    # the v1-v1 count is 2 and every other stored count 1: 2 * 1e308
+    # overflows to inf, and inf - inf is NaN
+    @pytest.mark.parametrize("theta", [[1e308, 1e308], [1e308, -1e308]], ids=["inf", "nan"])
+    def test_non_finite_scores_rejected(self, g2, p_star, theta):
+        graph, _ = g2
+        with pytest.raises(ValueError, match="weighted scores are not finite"):
+            build_index(graph, [p_star, p_star], theta)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g, path: commuting_matrix(g, path), lambda g, path: build_index(g, [path])],
+        ids=["commuting_matrix", "build_index"],
+    )
+    def test_index_keeps_no_names(self, build):
+        """The index holds no string cut from the graph's names, however many
+        rows and columns it has."""
+        names = [f"e{i:04d}" for i in range(2400)]
+        triples = [(a, "r", b) for a, b in zip(names, names[1:] + names[:1])]
+        graph, _ = build_graph(triples, [(e, "T") for e in names], [("T", "Object")])
+        tracemalloc.start()
+        try:
+            index = build(graph, parse_metapath("T -r-> T -r~-> T"))
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert len(index.rows) == len(index.cols) == len(names)
+        code = NameTable.__getitem__.__code__
+        lines = {line for _, _, line in code.co_lines()}
+        held = [
+            stat.count for stat in snapshot.statistics("lineno")
+            if stat.traceback[0].filename == code.co_filename
+            and stat.traceback[0].lineno in lines
+        ]
+        assert sum(held) <= 4
 
 class TestTopK:
     def test_g2_query_v1(self, g2, p_star):
@@ -138,9 +177,9 @@ class TestProperties:
             return
         theta = [1.0, 0.5, 0.25][: len(paths)]
         index = build_index(graph, paths, theta)
-        for query in index.row_entities:
+        for query in [graph.entities[i] for i in index.rows.tolist()]:
             per_path_counts = [oracle_counts(graph, query, p) for p in paths]
-            for entity, score in top_k(index, query, len(index.col_entities)):
+            for entity, score in top_k(index, query, len(index.cols)):
                 expected = sum(
                     w * counts.get(entity, 0) for w, counts in zip(theta, per_path_counts)
                 )

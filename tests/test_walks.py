@@ -23,7 +23,7 @@ from hinwalk import (
 )
 from hinwalk import walks
 from hinwalk.walks import walk_mass
-from corpus import oracle_counts, oracle_distribution, random_typed_graph, walk_rows
+from corpus import oracle_counts, oracle_distribution, random_typed_graph, stored_cells, walk_rows
 
 P_FOUNDERS = "Person -found-> Organization -found~-> Person"
 
@@ -232,16 +232,18 @@ class TestOracleEquivalence:
         for path in realized_paths(graph) + sampled_paths(graph, seed):
             matrix = commuting_matrix(graph, path)
             assert matrix.matrix.dtype == np.int64
-            for entities, end_type in (
-                (matrix.row_entities, path.source_type),
-                (matrix.col_entities, path.target_type),
+            names = graph.entities
+            for members, end_type in (
+                (matrix.rows, path.source_type),
+                (matrix.cols, path.target_type),
             ):
-                members = [e for e in graph.entities if end_type in graph.entity_types(e)]
-                assert entities == tuple(members)
-            for source in matrix.row_entities:
-                counts = oracle_counts(graph, source, path)
-                for target in matrix.col_entities:
-                    assert matrix.count(source, target) == counts.get(target, 0)
+                typed = [i for i, e in enumerate(names) if end_type in graph.entity_types(e)]
+                assert members.dtype == np.int32 and members.tolist() == typed
+            for source in matrix.rows.tolist():
+                counts = oracle_counts(graph, names[source], path)
+                for target in matrix.cols.tolist():
+                    count = matrix.score(names[source], names[target])
+                    assert type(count) is int and count == counts.get(names[target], 0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_index_matches_weighted_counts(self, seed):
@@ -268,16 +270,17 @@ class TestOracleEquivalence:
 
         index = build_index(graph, metapaths, theta)
         counts = [commuting_matrix(graph, mp) for mp in metapaths]
-        assert index.row_entities == counts[1].row_entities
-        assert index.col_entities == counts[1].col_entities
-        for row in index.row_entities:
-            for col in index.col_entities:
+        assert index.rows.tolist() == counts[1].rows.tolist()
+        assert index.cols.tolist() == counts[1].cols.tolist()
+        names = graph.entities
+        for row in index.rows.tolist():
+            for col in index.cols.tolist():
                 expected = sum(
-                    w * c.count(row, col)
+                    w * c.score(names[row], names[col])
                     for w, c in zip(theta, counts)
-                    if row in c.row_entities and col in c.col_entities
+                    if row in c.rows and col in c.cols
                 )
-                assert index.score(row, col) == expected
+                assert index.score(names[row], names[col]) == expected
         m = index.matrix
         assert all(np.all(np.diff(m.indices[a:b]) > 0) for a, b in zip(m.indptr, m.indptr[1:]))
         assert not (m.data == 0).any()
@@ -380,17 +383,17 @@ class TestCommutingMatrix:
             ("v3", "v1"): 1,
             ("v3", "v3"): 1,
         }
-        assert {(r, c): n for r, c, n in matrix.entries()} == expected
+        assert stored_cells(matrix) == expected
 
     def test_g1_direct_edges(self, g1):
         graph, _ = g1
         matrix = commuting_matrix(graph, parse_metapath("Person -found-> Organization"))
-        assert {(r, c): n for r, c, n in matrix.entries()} == {("p1", "g"): 1, ("p2", "g"): 1}
+        assert stored_cells(matrix) == {("p1", "g"): 1, ("p2", "g"): 1}
 
     def test_zero_step_identity(self, g2):
         graph, _ = g2
         matrix = commuting_matrix(graph, parse_metapath("Venue"))
-        assert {(r, c): n for r, c, n in matrix.entries()} == {
+        assert stored_cells(matrix) == {
             ("v1", "v1"): 1,
             ("v2", "v2"): 1,
             ("v3", "v3"): 1,
@@ -421,7 +424,7 @@ class TestCommutingMatrix:
         graph, _ = g1
         first = commuting_matrix(graph, parse_metapath(path))
         first.matrix.data[:] = 7
-        assert commuting_matrix(graph, parse_metapath(path)).count("p1", "g") == 1
+        assert commuting_matrix(graph, parse_metapath(path)).score("p1", "g") == 1
 
 
 class TestWalkMass:
