@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ class BenchConfig:
                 raise ValueError(f"{name} must be >= 1, got {values}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not 0 < self.timeout_s < math.inf:  # false for nan too
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 
 
 @dataclass

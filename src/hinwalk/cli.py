@@ -92,7 +92,9 @@ def _search_config(args) -> SearchConfig:
 
 def _load_paths_file(path: str):
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    with hio.open_text(path) as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -179,10 +181,9 @@ def cmd_predict_lp(args) -> int:
     pairs = [(r.source, r.target) for r in rows]
     features = models.build_features(parsed.graph, pairs, list(paths))
     preds = models.predict(model, features)
-    for r, p in zip(rows, preds):
-        print(f"{r.source}\t{r.target}\t{p:.6f}")
     out_rows = []
     for r, p in zip(rows, preds):
+        print(f"{r.source}\t{r.target}\t{p:.6f}")
         row = {"source": r.source, "target": r.target, "probability": float(p)}
         if r.label is not None:
             row["label"] = r.label
@@ -239,15 +240,9 @@ def cmd_simsearch(args) -> int:
     for rank, (entity, score) in enumerate(ranked, start=1):
         print(f"{rank}\t{entity}\t{format(score, '.12g')}")
     if args.output:
-        hio.write_report(
-            args.output,
-            "simsearch",
-            [
-                {"rank": i + 1, "entity": e, "score": s}
-                for i, (e, s) in enumerate(ranked)
-            ],
-            {"query": args.query, "k": args.k, "paths": [str(p) for p in paths]},
-        )
+        rows = [{"rank": i, "entity": e, "score": s} for i, (e, s) in enumerate(ranked, start=1)]
+        meta = {"query": args.query, "k": args.k, "paths": [str(p) for p in paths]}
+        hio.write_report(args.output, "simsearch", rows, meta)
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ type-filtered steps the walk code multiplies (:meth:`HinGraph.step_matrix`)
 are cut from them, and a cut that keeps every edge is the untyped step
 itself. Each entity's types are kept once, as one small integer code (the
 narrowest unsigned dtype that holds it) into the graph's distinct assigned
-type sets and their closures under the hierarchy; a type's members are
-derived from the codes when asked for (:meth:`HinGraph.type_members`).
+type sets. No closure under the hierarchy is stored: type members, typed
+cuts and closed types are derived from the sets and the hierarchy's
+ancestors when asked for (:meth:`HinGraph.type_members`).
 """
 
 from __future__ import annotations
@@ -264,14 +265,14 @@ class HinGraph:
     with each relation's forward untyped step, its stored adjacency. An
     inverse untyped step is the forward one's transpose, memoized the first
     time it is asked for (neighbour queries ask through :meth:`step_matrix`
-    too). Type-filtered
-    steps are memoized per instance on first use: a filter that keeps every
-    edge memoizes the untyped step itself, and only a filter that drops an
-    edge stores a cut. So the memo holds at most one matrix per distinct
-    (direction, row type, column type) key asked for, and no cut is larger
-    than its untyped step.
-    Build graphs with :func:`build_graph`, not by calling this constructor
-    directly.
+    too). Type-filtered steps are memoized per instance on first use: a
+    filter that keeps every edge memoizes the untyped step itself, and only
+    a filter that drops an edge stores a cut. So the memo holds at most one
+    matrix per distinct (direction, row type, column type) key asked for,
+    and no cut is larger than its untyped step. Whether an entity carries a
+    type has one answer, :meth:`_type_table`, derived on each call from the
+    assigned type sets, the one type record. Build graphs with
+    :func:`build_graph`, not by calling this constructor directly.
     """
 
     def __init__(
@@ -293,13 +294,10 @@ class HinGraph:
             (r, False, root, root): StepMatrix(edges) for r, edges in enumerate(adjacency)
         }
 
-        # the only per-entity type record: entity e's assigned types are
-        # _type_sets[_type_codes[e]], their closure _closed_sets[_type_codes[e]]
+        # the only type record: entity e's assigned types are
+        # _type_sets[_type_codes[e]]; every closure is derived from them
         self._type_codes = type_codes
         self._type_sets: tuple[frozenset[str], ...] = tuple(type_sets)
-        self._closed_sets: tuple[frozenset[str], ...] = tuple(
-            frozenset().union(*map(hierarchy.ancestors, types)) for types in self._type_sets
-        )
 
     # -- index-level access (used by the walk and search internals) --
 
@@ -334,15 +332,18 @@ class HinGraph:
         return tuple(d for d in self.directions if self.neighbors_idx(entity, *d))
 
     def closed_types_idx(self, entity: int) -> frozenset[str]:
-        return self._closed_sets[self._type_codes[entity]]
+        """The entity's assigned types and all their ancestors, a new set on every call."""
+        types = self._type_sets[self._type_codes[entity]]
+        return frozenset().union(*map(self.hierarchy.ancestors, types))
 
     def step_matrix(
         self, relation: int, inverted: bool, row_type: str, col_type: str
     ) -> StepMatrix:
         """The relation's adjacency with rows kept for ``row_type`` members and
-        columns for ``col_type`` members, cut from its untyped step; the
-        untyped step itself when the cut would keep every edge. The inverse
-        untyped step is the forward one's transpose."""
+        columns for ``col_type`` members, cut from its untyped step by masking
+        its stored edges through :meth:`_type_table`; the untyped step itself
+        when the cut would keep every edge. The inverse untyped step is the
+        forward one's transpose."""
         key = (relation, inverted, row_type, col_type)
         step = self._steps.get(key)
         if step is None:
@@ -352,15 +353,17 @@ class HinGraph:
             else:
                 untyped = self.step_matrix(relation, inverted, root, root)
                 edges = untyped.edges
-                n = self.n_entities
-                rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(edges.indptr))
-                keep = np.isin(rows, self.type_members(row_type))
-                keep &= np.isin(edges.indices, self.type_members(col_type))
+                codes = self._type_codes
+                # an edge is kept when its column's and its row's entity carry the types
+                keep = self._type_table(col_type)[codes][edges.indices]
+                keep &= np.repeat(self._type_table(row_type)[codes], np.diff(edges.indptr))
                 if keep.all():  # the cut would equal the untyped step
                     step = untyped
                 else:
-                    data, cols = edges.data[keep], edges.indices[keep]
-                    step = StepMatrix(sp.csr_array((data, (rows[keep], cols)), shape=(n, n)))
+                    kept = np.zeros(len(keep) + 1, dtype=INDEX_DTYPE)  # kept edges before each
+                    np.cumsum(keep, dtype=INDEX_DTYPE, out=kept[1:])
+                    cut = (edges.data[keep], edges.indices[keep], kept[edges.indptr])
+                    step = StepMatrix(sp.csr_array(cut, shape=edges.shape))
             self._steps[key] = step
         return step
 
@@ -407,10 +410,13 @@ class HinGraph:
         return self.hierarchy.lca(*frozenset().union(*type_sets))
 
     def _type_table(self, type_id: str) -> np.ndarray:
-        """One boolean per type-set code: whether that closed set holds ``type_id``."""
+        """One boolean per type-set code: whether one of that set's types has
+        ``type_id`` among its ancestors."""
         if type_id not in self.hierarchy:
             raise UnknownTypeError(f"unknown type {type_id!r}")
-        return np.array([type_id in closed for closed in self._closed_sets], dtype=bool)
+        ancestors = self.hierarchy.ancestors
+        carriers = {t for t in self.hierarchy.types if type_id in ancestors(t)}
+        return np.array([not carriers.isdisjoint(types) for types in self._type_sets], dtype=bool)
 
     def carries_type(self, indices: np.ndarray, type_id: str) -> np.ndarray:
         """Whether each entity at ``indices`` has ``type_id`` among its closed

@@ -22,6 +22,7 @@ record plus one block of lines beside the caller's records.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import itemgetter, le
@@ -53,12 +54,9 @@ class DatasetBundle:
 
     def __post_init__(self):
         self.edges_path = Path(self.edges_path)
-        self.types_path = Path(self.types_path) if self.types_path else None
-        self.hierarchy_path = Path(self.hierarchy_path) if self.hierarchy_path else None
-        self.examples_path = Path(self.examples_path) if self.examples_path else None
-        self.holdout_examples_path = (
-            Path(self.holdout_examples_path) if self.holdout_examples_path else None
-        )
+        for name in ("types_path", "hierarchy_path", "examples_path", "holdout_examples_path"):
+            value = getattr(self, name)
+            setattr(self, name, Path(value) if value else None)
 
 
 @dataclass
@@ -67,6 +65,25 @@ class ParsedBundle:
     hierarchy: TypeHierarchy
     example_rows: list[ExampleRow]
     holdout_rows: list[ExampleRow]
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened to read as UTF-8 text, a leading byte order mark
+    skipped. Bytes that are not UTF-8 raise :class:`ParseError` naming the
+    line of the first of them, found by reading the file again as bytes."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # bytes split at the newlines text mode reads: \n, \r and \r\n
+            for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    text = line.decode("utf-8", "backslashreplace")
+                    raise ParseError(path, lineno, text, f"not UTF-8 ({exc.reason})") from None
+            raise
 
 
 def _data_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
@@ -129,7 +146,7 @@ def _table(path: Path, width: int) -> list[tuple[str, ...]]:
     rows = []
     row_separators = ("\t" * (width - 1) + "\n").encode()
     before = 0  # lines before the current block
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for block in _blocks(fh):
             fields = block.split()
             lines = block.count("\n")
@@ -165,7 +182,7 @@ def load_hierarchy(path: str | Path) -> list[tuple[str, str]]:
 def load_examples(path: str | Path) -> list[ExampleRow]:
     path = Path(path)
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = list(_data_lines(fh))
     for n, line in lines:
         parts = _fields(path, n, line, 2, 4)
@@ -288,7 +305,7 @@ def write_report(path: str | Path, kind: str, rows: Iterable[dict], meta: dict |
 
 def read_report(path: str | Path) -> tuple[dict, list[dict]]:
     lines = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip():

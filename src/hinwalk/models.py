@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError
 from .graph import HinGraph
+from .io import open_text
 from .metapath import MetaPath, format_metapath, parse_metapath
 from .walks import walk_mass
 
@@ -231,7 +232,8 @@ def save_model(path: str | Path, model: LogisticModel, metapaths: Sequence[MetaP
 
 
 def load_model(path: str | Path) -> tuple[LogisticModel, tuple[MetaPath, ...]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
     if not lines or lines[0].split("\t") != [MODEL_FORMAT, str(MODEL_VERSION)]:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
     fields: dict[str, float] = {}

@@ -102,16 +102,11 @@ def build_index(
         if not np.all(np.isfinite(weights)):
             raise ValueError(f"theta must be finite, got {weights.tolist()}")
 
-    first = metapaths[0]
     for mp in metapaths[1:]:
-        if not graph.hierarchy.compatible(first.source_type, mp.source_type):
-            raise ValueError(
-                f"source types {first.source_type!r} and {mp.source_type!r} are incompatible"
-            )
-        if not graph.hierarchy.compatible(first.target_type, mp.target_type):
-            raise ValueError(
-                f"target types {first.target_type!r} and {mp.target_type!r} are incompatible"
-            )
+        for end, at in (("source", 0), ("target", -1)):
+            first, other = metapaths[0].node_types[at], mp.node_types[at]
+            if not graph.hierarchy.compatible(first, other):
+                raise ValueError(f"{end} types {first!r} and {other!r} are incompatible")
 
     rows = np.unique(np.concatenate([graph.type_members(mp.source_type) for mp in metapaths]))
     cols = np.unique(np.concatenate([graph.type_members(mp.target_type) for mp in metapaths]))

@@ -66,40 +66,30 @@ class SyntheticSpec:
             )
 
 
-def _entity_names(spec: SyntheticSpec) -> dict[str, list[str]]:
-    return {
-        t: [f"{t}{i:05d}" for i in range(n)] for t, n in sorted(spec.entity_counts.items())
-    }
-
-
 def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetBundle:
     """Write a planted-rule bundle (edges, types, hierarchy, train and held-out
     examples) under ``out_dir`` and return it."""
     rng = random.Random(spec.seed)
-    entities = _entity_names(spec)
+    entities = {t: [f"{t}{i:05d}" for i in range(n)] for t, n in sorted(spec.entity_counts.items())}
     types = sorted(entities)
 
     triples: set[tuple[str, str, str]] = set()
 
-    # rule edges, one planted step at a time
-    for depth, rel in enumerate(spec.planted.relations):
-        src_t = spec.planted.node_types[depth]
-        dst_t = spec.planted.node_types[depth + 1]
+    def link(src_t: str, relation: str, dst_t: str) -> None:
+        """Edges from every ``src_t`` entity to ``out_degree`` random ``dst_t`` ones."""
         targets = entities[dst_t]
         k = min(spec.out_degree, len(targets))
         for u in entities[src_t]:
             for w in rng.sample(targets, k):
-                triples.add((u, rel.name, w))
+                triples.add((u, relation, w))
 
+    # rule edges, one planted step at a time
+    planted = spec.planted
+    for src_t, rel, dst_t in zip(planted.node_types, planted.relations, planted.node_types[1:]):
+        link(src_t, rel.name, dst_t)
     # distractor relations over random type pairs, same density as the rule
     for j in range(spec.distractor_relations):
-        src_t = rng.choice(types)
-        dst_t = rng.choice(types)
-        targets = entities[dst_t]
-        k = min(spec.out_degree, len(targets))
-        for u in entities[src_t]:
-            for w in rng.sample(targets, k):
-                triples.add((u, f"{_DISTRACTOR_PREFIX}{j}", w))
+        link(rng.choice(types), f"{_DISTRACTOR_PREFIX}{j}", rng.choice(types))  # source drawn first
 
     # schema-free noise: uniform endpoints over all entities
     everything = [e for t in types for e in entities[t]]
@@ -135,9 +125,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetBundl
         negatives.append(pair)
 
     def rows(pos, neg):
-        return [ExampleRow(s, t, 1.0, 1) for s, t in pos] + [
-            ExampleRow(s, t, 1.0, 0) for s, t in neg
-        ]
+        return [ExampleRow(s, t, 1.0, 1) for s, t in pos] + [ExampleRow(s, t, 1.0, 0) for s, t in neg]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -70,8 +70,7 @@ class ExamplePairSet:
         pairs: Iterable[tuple[str, str]],
         weights: Mapping[tuple[str, str], float] | None = None,
     ):
-        seen: dict[tuple[str, str], float] = {}
-        order: list[tuple[str, str]] = []
+        seen: dict[tuple[str, str], float] = {}  # in first-seen order
         weights = dict(weights or {})
         for pair in pairs:
             pair = (pair[0], pair[1])
@@ -81,11 +80,10 @@ class ExamplePairSet:
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"example pair {pair} has weight {w}, not positive and finite")
             seen[pair] = w
-            order.append(pair)
-        if not order:
+        if not seen:
             raise ValueError("example set must be non-empty")
 
-        self.pairs: tuple[tuple[str, str], ...] = tuple(order)
+        self.pairs: tuple[tuple[str, str], ...] = tuple(seen)
 
         self.max_weight: dict[str, float] = {}
         self.pair_count: dict[str, int] = {}
@@ -108,12 +106,9 @@ class SearchConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.max_paths < 1:
-            raise ValueError(f"max_paths must be >= 1, got {self.max_paths}")
-        if self.node_budget < 1:
-            raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
+        for name in ("max_depth", "max_paths", "node_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,10 @@ def enumerate_path_instances(
     """
     steps = _resolve(graph, metapath)
     src = graph.entity_index(source)
-    if metapath.node_types[0] not in graph.closed_types_idx(src):
-        raise ValueError(
-            f"source {source!r} does not carry start type {metapath.node_types[0]!r}"
-        )
+    root, start = graph.hierarchy.root, metapath.node_types[0]
+    if start != root and start not in graph.closed_types_idx(src):  # all carry the root
+        raise ValueError(f"source {source!r} does not carry start type {start!r}")
 
-    root = graph.hierarchy.root
     out: list[list[str]] = []
     path = [src]
 

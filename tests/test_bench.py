@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hinwalk import BudgetExceededError, SearchConfig, walks
@@ -56,11 +58,12 @@ def test_sizes_below_one_rejected(sizes):
 
 def test_timeout_censors_cell(g2):
     graph, _ = g2
-    config = BenchConfig(lengths=(4,), example_sizes=(1,), repeats=2, timeout_s=0.0)
+    # a timeout far below one enumeration's duration (a timeout must be > 0)
+    config = BenchConfig(lengths=(4,), example_sizes=(1,), repeats=2, timeout_s=1e-9)
     report = run_benchmark(graph, [("v1", "v2")], config)
     enum_row = report.rows[1]
     assert enum_row["censored"]
-    assert enum_row["median_s"] == 0.0
+    assert enum_row["median_s"] == 1e-9
     assert len(enum_row["runs_s"]) == 1  # censored cells are not rerun
 
 
@@ -76,3 +79,9 @@ def test_empty_subset_rejected(g1):
     graph, _ = g1
     with pytest.raises(ValueError, match="no pairs"):
         run_benchmark(graph, [], BenchConfig(example_sizes=(5,)))
+
+
+@pytest.mark.parametrize("timeout", [0.0, -0.0, -5.0, math.nan, math.inf, -math.inf])
+def test_timeout_not_finite_and_positive_rejected(timeout):
+    with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
+        BenchConfig(timeout_s=timeout)

@@ -463,3 +463,42 @@ def test_label_other_than_zero_and_one_is_precondition(tmp_path, capsys):
     )
     assert main(["eval-auc", "--predictions", str(report)]) == 3
     assert "0 or 1" in capsys.readouterr().err
+
+
+def test_byte_order_marks_read_as_the_plain_files(workdir):
+    path = "Venue -publishIn~-> Paper -authorOf~-> Author -authorOf-> Paper -publishIn-> Venue\n"
+    (workdir / "paths.txt").write_text(path)
+    (workdir / "pairs.tsv").write_text("v1\tv2\nv1\tv3\n")
+    marked = workdir / "marked"
+    marked.mkdir()
+    for name in ("edges.tsv", "types.tsv", "hierarchy.tsv", "paths.txt", "pairs.tsv"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (workdir / name).read_bytes())
+
+    def reports(d):
+        given = [*bundle_args(d), "--paths", str(d / "paths.txt")]
+        assert main(["simsearch", *given, "--query", "v1", "--output", str(d / "sim.jsonl")]) == 0
+        assert main(["score", *given, "--pairs", str(d / "pairs.tsv"), "--output", str(d / "s.jsonl")]) == 0
+        return (d / "sim.jsonl").read_bytes(), (d / "s.jsonl").read_bytes()
+
+    assert reports(marked) == reports(workdir)
+
+
+def test_bytes_not_utf8_exit_2_with_file_and_line(workdir, capsys):
+    (workdir / "paths.txt").write_text("Venue -publishIn~-> Paper\n")
+    edges = workdir / "edges.tsv"
+    lines = edges.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xff" + lines[1]
+    edges.write_bytes(b"".join(lines))
+    code = main(["simsearch", *bundle_args(workdir), "--paths", str(workdir / "paths.txt"), "--query", "v1"])
+    assert code == 2
+    assert f"{edges}:2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["-5", "0", "nan", "inf"])
+def test_bench_timeout_not_finite_and_positive_is_precondition(workdir, capsys, timeout):
+    code = main(
+        ["bench", *bundle_args(workdir), "--examples", str(workdir / "examples.tsv"),
+         "--sizes", "1", "--lengths", "1", "--repeats", "1", "--timeout", timeout]
+    )
+    assert code == 3
+    assert "timeout_s must be finite and > 0" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,41 @@ def multi_parent_dag(rng):
 # would end at Object
 DIAMOND = [("P", "Object"), ("Q", "Object"), ("X", "P"), ("A", "X"), ("A", "Q"), ("B", "X"),
            ("B", "Q"), ("C", "Q")]
+
+
+def multi_typed_dag_graph(seed):
+    """A random graph over a multi-parent DAG hierarchy (see
+    :func:`multi_parent_dag`), plus a type ``Unused`` that no entity carries;
+    each entity has zero to three assigned types. Returns the graph, its
+    hierarchy, the type rows and the hierarchy rows."""
+    rng = random.Random(seed)
+    names, edges = multi_parent_dag(rng)
+    edges.append(("Unused", "Object"))
+    entities = [f"e{i:02d}" for i in range(rng.randint(6, 30))]
+    assignments = [(e, t) for e in entities for t in rng.sample(names, rng.choice([0, 1, 1, 2, 3]))]
+    triples = [
+        (rng.choice(entities), f"r{rng.randint(0, 2)}", rng.choice(entities))
+        for _ in range(rng.randint(1, 3 * len(entities)))
+    ]
+    graph, hierarchy = build_graph(triples, assignments, edges)
+    return graph, hierarchy, assignments, edges
+
+
+def name_level_closure(graph, assignments, edges):
+    """Each entity index's closed types, from the rows alone: its type rows
+    (the root if it has none) and every type reached by walking parent rows
+    up from them."""
+    parents = {}
+    for child, parent in edges:
+        parents.setdefault(child, set()).add(parent)
+
+    def ancestors(t):
+        return {t}.union(*(ancestors(p) for p in parents.get(t, ())))
+
+    assigned = {}
+    for e, t in assignments:
+        assigned.setdefault(e, set()).add(t)
+    return [set().union(*map(ancestors, assigned.get(e, {"Object"}))) for e in graph.entities]
 
 
 def _state(graph, hierarchy):
@@ -610,6 +646,57 @@ class TestSteps:
         assert vars(graph) == state  # nothing cached on a call
         assert [name for name, v in state.items() if isinstance(v, np.ndarray)] == ["_type_codes"]
         assert not any(isinstance(v, dict) and any(map(hierarchy.__contains__, v)) for v in state.values())
+        # the assigned sets are the one per-set record: no closure is stored beside them
+        set_tuples = [
+            name for name, v in state.items()
+            if isinstance(v, tuple) and v and all(isinstance(x, frozenset) for x in v)
+        ]
+        assert set_tuples == ["_type_sets"]
+        closed = [graph.closed_types_idx(e) for e in range(graph.n_entities)]
+        assert any(c not in graph._type_sets for c in closed)  # closures are larger here
+
+    def test_typed_cuts_equal_an_isin_and_coo_reference(self):
+        # every (direction, row type, column type) cut, about 1,000 a graph
+        for seed in range(12):
+            graph, hierarchy, assignments, edges = multi_typed_dag_graph(seed)
+            closed = name_level_closure(graph, assignments, edges)
+            n, root = graph.n_entities, hierarchy.root
+            members = {
+                t: np.array([e for e in range(n) if t in closed[e]], dtype=np.int32)
+                for t in hierarchy.types
+            }
+            for r, inv in graph.directions:
+                untyped = graph.step_matrix(r, inv, root, root).edges
+                rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(untyped.indptr))
+                for row_type in hierarchy.types:
+                    for col_type in hierarchy.types:
+                        keep = np.isin(rows, members[row_type])
+                        keep &= np.isin(untyped.indices, members[col_type])
+                        coo = (untyped.data[keep], (rows[keep], untyped.indices[keep]))
+                        expected = sp.csr_array(coo, shape=(n, n))
+                        cut = graph.step_matrix(r, inv, row_type, col_type).edges
+                        for a, b in [(cut.indptr, expected.indptr), (cut.indices, expected.indices),
+                                     (cut.data, expected.data)]:
+                            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_type_tests_equal_a_name_level_closure(self):
+        for seed in range(40):
+            graph, hierarchy, assignments, edges = multi_typed_dag_graph(seed)
+            closed = name_level_closure(graph, assignments, edges)
+            n = graph.n_entities
+            everyone = np.arange(n, dtype=np.int32)
+            assert "Unused" in hierarchy and not any("Unused" in c for c in closed)
+            for t in hierarchy.types:
+                expected = [t in closed[e] for e in range(n)]
+                assert graph.carries_type(everyone, t).tolist() == expected
+                assert graph.carries_type(everyone[::-1], t).tolist() == expected[::-1]
+                members = graph.type_members(t)
+                assert members.dtype == np.int32
+                assert members.tolist() == [e for e in range(n) if expected[e]]
+            assert graph.type_members(hierarchy.root).tolist() == everyone.tolist()
+            assert graph.type_members("Unused").tolist() == []
+            for e, name in enumerate(graph.entities):
+                assert graph.entity_types(name) == graph.closed_types_idx(e) == closed[e]
 
 
 class TestEntityTypes:

@@ -13,6 +13,7 @@ from hinwalk.io import (
     ExampleRow,
     load_edges,
     load_examples,
+    load_hierarchy,
     load_types,
     parse_bundle,
     pair_set_from_rows,
@@ -23,6 +24,8 @@ from hinwalk.io import (
     write_report,
     write_types,
 )
+from hinwalk.cli import _load_paths_file
+from hinwalk.models import load_model
 
 
 def bundle_for(directory):
@@ -386,3 +389,56 @@ class TestReports:
         path.write_text('{"a": 1}\n')
         with pytest.raises(ValueError):
             read_report(path)
+
+
+def _model_fields(path):
+    model, paths = load_model(path)
+    return model.weights.tolist(), model.bias, model.l2_strength, model.fit_bias, paths
+
+
+# every reader of an input file, with a file of three data lines it reads
+_READERS = {
+    "edges": (load_edges, b"a\tr\tb\nc\tr\td\ne\tr\tf\n"),
+    "types": (load_types, b"a\tT\nc\tT\ne\tU\n"),
+    "hierarchy": (load_hierarchy, b"T\tObject\nU\tT\nV\tU\n"),
+    "examples": (load_examples, b"a\tb\nc\td\t0.5\ne\tf\t1\t1\n"),
+    "report": (read_report, b'{"report": "x", "version": 1}\n{"a": 1}\n{"b": 2}\n'),
+    "model": (_model_fields, b"hinwalk-model\t1\nl2\t0.01\nfit_bias\t1\nbias\t0.5\npath\t2\tA -r-> B\n"),
+    "paths": (_load_paths_file, b"A -r-> B\nB -s~-> C\nC -t-> D\n"),
+}
+
+
+class TestEncodings:
+    @pytest.mark.parametrize("read, data", _READERS.values(), ids=_READERS)
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, read, data):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(data)
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        assert read(marked) == read(plain)
+
+    @pytest.mark.parametrize("read, data", _READERS.values(), ids=_READERS)
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_not_utf8_are_a_parse_error_at_their_line(self, tmp_path, read, data, newline):
+        lines = data.splitlines()
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path = tmp_path / "bad"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert (err.value.lineno, err.value.reason) == (3, "not UTF-8 (invalid start byte)")
+        assert str(err.value).startswith(f"{path}:3: not UTF-8")
+
+    def test_bad_byte_past_the_first_block_names_its_line(self, tmp_path):
+        lines = [f"e{i:05d}\tr\te{i + 1:05d}".encode() for i in range(3000)]
+        lines[2499] = lines[2499][:-2] + b"\xe9" + lines[2499][-1:]  # Latin-1, not UTF-8
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert err.value.lineno == 2500
+        assert err.value.text == "e02499\tr\te025\\xe90"
+
+    def test_byte_order_mark_only_at_the_start_is_skipped(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\tr\tb\n")
+        assert load_edges(path) == [("\ufeffa", "r", "b")]  # a second mark is text
