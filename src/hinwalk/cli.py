@@ -93,7 +93,7 @@ def _search_config(args) -> SearchConfig:
 def _load_paths_file(path: str):
     out = []
     with hio.open_text(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")  # text mode reads \r\n and \r as \n
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

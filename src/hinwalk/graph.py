@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, count, filterfalse, islice, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -446,8 +445,105 @@ def _rows(rows: Iterable[tuple], width: int) -> Sequence[tuple]:
     return rows
 
 
-def _column(rows: Sequence[tuple], i: int) -> Iterator[str]:
-    return map(itemgetter(i), rows)
+# code columns are C ints, the int32 of INDEX_DTYPE, read by numpy in place
+_CODE = "i"
+_ROWS = 4096  # rows coded at a time by CodedTable.extend
+
+
+class CodedTable(Sequence[tuple[str, ...]]):
+    """Rows of ``width`` names kept as int32 code columns, with no tuple
+    and no string object per row.
+
+    Field 1 of a row is its label (a relation or a type) and the others name
+    entities. ``names`` and ``labels`` are the distinct entity and label
+    names in the order first seen, so a code is a position there.
+    ``entity_codes`` holds each row's ``width - 1`` entity codes, row after
+    row, and ``label_codes`` each row's label code: a row costs
+    ``4 * width`` bytes beside the distinct names. ``len`` counts rows,
+    duplicates included; indexing and iteration give each row as the tuple
+    of its names, and :meth:`extend` codes more rows. :func:`build_graph`
+    reads the code columns and the distinct names, never the rows.
+
+    While rows are being coded, names are numbered through one name-to-code
+    dict per column kind; the dicts are dropped, leaving the name lists,
+    when names are next read."""
+
+    __slots__ = ("width", "entity_codes", "label_codes", "_names", "_numbers")
+
+    def __init__(self, width: int, rows: Iterable[tuple[str, ...]] = ()):
+        self.width = width
+        self.entity_codes = array(_CODE)
+        self.label_codes = array(_CODE)
+        self._names: tuple[list[str], list[str]] = ([], [])
+        self._numbers: tuple[dict[str, int], dict[str, int]] | None = None
+        self.extend(rows)
+
+    @property
+    def names(self) -> list[str]:
+        """Entity names by code."""
+        return self.settle()[0]
+
+    @property
+    def labels(self) -> list[str]:
+        """Label names by code."""
+        return self.settle()[1]
+
+    def settle(self) -> tuple[list[str], list[str]]:
+        """The entity and label name lists, made from the name-to-code dicts,
+        which are dropped until more rows are coded."""
+        if self._numbers is not None:  # dicts keep the order names were numbered in
+            self._names = (list(self._numbers[0]), list(self._numbers[1]))
+            self._numbers = None
+        return self._names
+
+    def add_fields(self, fields: list[str]) -> None:
+        """Code whole rows given as one list of their fields, row after row.
+        The list is changed: its label fields are deleted from it."""
+        if self._numbers is None:
+            # name -> code, a name not seen before numbered next
+            self._numbers = tuple(
+                defaultdict(count(len(names)).__next__, zip(names, count())) for names in self._names
+            )
+        entity, label = self._numbers
+        labels = fields[1 :: self.width]
+        del fields[1 :: self.width]
+        self.entity_codes.fromlist(list(map(entity.__getitem__, fields)))
+        self.label_codes.fromlist(list(map(label.__getitem__, labels)))
+
+    def extend(self, rows: Iterable[tuple[str, ...]]) -> None:
+        """Code ``rows``; raises ``ValueError`` unless each has ``width`` fields."""
+        rows = iter(_rows(rows, self.width))
+        while fields := list(chain.from_iterable(islice(rows, _ROWS))):
+            self.add_fields(fields)
+
+    def __len__(self) -> int:
+        return len(self.label_codes)
+
+    def __getitem__(self, i: int) -> tuple[str, ...]:
+        names, labels = self.settle()
+        i = range(len(self))[i]  # IndexError past either end
+        k = self.width - 1
+        first, *rest = map(names.__getitem__, self.entity_codes[i * k : i * k + k])
+        return (first, labels[self.label_codes[i]], *rest)
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        names, labels = self.settle()
+        ends = map(names.__getitem__, self.entity_codes)
+        # one iterator over entity fields twice in a row of three: source, then target
+        return zip(*[ends, map(labels.__getitem__, self.label_codes), ends][: self.width])
+
+
+def _coded(rows: Iterable[tuple[str, ...]], width: int) -> CodedTable:
+    """``rows`` as a :class:`CodedTable` of ``width``: the table itself, or
+    its rows coded into a new one."""
+    if isinstance(rows, CodedTable) and rows.width == width:
+        return rows
+    return CodedTable(width, rows)
+
+
+def _view(codes: array) -> np.ndarray:
+    """A code column read in place as int32, not copied."""
+    return np.frombuffer(codes, INDEX_DTYPE)
 
 
 def _runs(codes: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -542,56 +638,53 @@ def build_graph(
     Rejects hierarchies with cycles and type assignments that reference types
     absent from the hierarchy.
 
+    Edges and types are read as :class:`CodedTable` code columns, the form
+    ``io.load_edges`` and ``io.load_types`` return; rows given as tuples are
+    first coded into one, and a table is read, never changed. The distinct
+    entity names of both tables are sorted once, and the code columns are
+    recoded and gathered from them, so no name is read per row.
+
     The graph keeps its entity names as one :class:`NameTable`, and every
     relation and type name the graph and hierarchy keep is a new string cut
-    from one too, so dropping the caller's rows frees their memory.
-    While the adjacency is built, what is held beside the rows and the graph
-    is the int32 entity code of every field, the sources and targets among
-    them in relation order.
+    from one too, so dropping the caller's rows or tables frees their memory.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
-    triples = _rows(triples, 3)
-    assignments = _rows(type_assignments, 2)
+    edges = _coded(triples, 3)
+    types = _coded(type_assignments, 2)
 
     # each type row's index in the hierarchy's sorted types, -1 if absent
     type_index = dict(zip(hierarchy.types, count()))
-    type_at = np.fromiter(
-        map(type_index.get, _column(assignments, 1), repeat(-1)), INDEX_DTYPE, len(assignments)
-    )
+    labels = types.labels
+    label_at = np.fromiter(map(type_index.get, labels, repeat(-1)), INDEX_DTYPE, len(labels))
+    type_at = label_at[_view(types.label_codes)]
     if (type_at < 0).any():
-        entity, type_id = assignments[int(np.argmax(type_at < 0))]
+        entity, type_id = types[int(np.argmax(type_at < 0))]
         raise UnknownTypeError(
             f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
         )
 
     # each edge's place in relation order (one sort, not one full-length
-    # mask per relation), kept as int32: the relation codes and the int64
-    # permutation are dropped before any entity is coded
-    m = len(triples)
-    relation_names, rel = _codes(_column(triples, 1), m)
-    order, runs = _runs(rel, len(relation_names))
-    del rel
+    # mask per relation), kept as int32
+    relation_names, rank = _codes(edges.labels, len(edges.labels))
+    order, runs = _runs(rank[_view(edges.label_codes)], len(relation_names))
     order = order.astype(INDEX_DTYPE)
 
-    # entity codes of sources, then targets, then typed entities; the last
-    # name entities that have no edge and give each type row its entity
-    names, codes = _codes(
-        chain(_column(triples, 0), _column(triples, 2), _column(assignments, 0)),
-        2 * m + len(assignments),
-    )
+    # the sorted entity names of both tables; rank[c] is the index there of
+    # edge entity code c, and rank[k + c] of type entity code c
+    k = len(edges.names)
+    names, rank = _codes(chain(edges.names, types.names), k + len(types.names))
     entities = NameTable("entity", names)
     n = len(entities)
     for name in relation_names:
         _check_identifier("relation", name)
     relations = NameTable("relation", relation_names)
-    type_codes, type_sets = _type_codes(codes[2 * m :], type_at, n, hierarchy)
+    type_codes, type_sets = _type_codes(rank[k:][_view(types.entity_codes)], type_at, n, hierarchy)
 
-    # each edge's source and target gathered into relation order in place,
-    # through one m-field scratch array at a time
-    src, dst = codes[:m], codes[m : 2 * m]
-    src[:] = src[order]
-    dst[:] = dst[order]
-    del order
+    # each edge's source and target entity, gathered into relation order
+    ends = _view(edges.entity_codes).reshape(-1, 2)
+    src = rank[ends[:, 0][order]]
+    dst = rank[ends[:, 1][order]]
+    del ends, order
     adjacency = [_edges(src[a:b], dst[a:b], n) for a, b in runs]
 
     graph = HinGraph(entities, relations, adjacency, type_codes, type_sets, hierarchy)

@@ -12,6 +12,13 @@ Weight defaults to 1.0; the label column (0 or 1) is only used for link
 prediction training and evaluation. Reports are JSON lines with a versioned
 header record followed by one record per result row.
 
+``load_edges`` and ``load_types`` code each field as its block of lines is
+read, through one first-seen numbering of entity names and one of the label
+column (relation or type), and return a :class:`~hinwalk.graph.CodedTable`:
+int32 code columns and the distinct names, with no tuple per row.
+``list(table)`` gives the rows as tuples of names. ``load_hierarchy``, a few
+lines in practice, returns rows.
+
 The canonical writers (``write_edges``, ``write_types``, ``write_hierarchy``
 and ``write_examples``) write sorted, unique lines, so the same records give
 the same bytes in any order and under any hash seed. They sort the records
@@ -30,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ParseError
-from .graph import HinGraph, TypeHierarchy, build_graph
+from .graph import CodedTable, HinGraph, TypeHierarchy, build_graph
 from .treesearch import ExamplePairSet
 
 REPORT_VERSION = 1
@@ -130,10 +137,9 @@ def _blocks(fh: TextIO) -> Iterator[str]:
         yield tail + "\n"
 
 
-def _table(path: Path, width: int) -> list[tuple[str, ...]]:
-    """Rows of ``width`` non-empty tab-separated fields, with one string
-    object per distinct name in the file, so a file of many rows over few
-    names holds each name once.
+def _field_blocks(path: Path, width: int) -> Iterator[list[str]]:
+    """The fields of the file's rows of ``width`` non-empty tab-separated
+    fields, row after row, as one list per block of lines.
 
     A block of lines is split in bulk when it holds only such rows: every
     line has ``width - 1`` tabs (checked per line: totals can balance out
@@ -142,8 +148,6 @@ def _table(path: Path, width: int) -> list[tuple[str, ...]]:
     goes through the per-line parse, which skips comments and blank lines
     and raises :class:`ParseError` with the line's absolute number.
     """
-    share = {}.setdefault
-    rows = []
     row_separators = ("\t" * (width - 1) + "\n").encode()
     before = 0  # lines before the current block
     with open_text(path) as fh:
@@ -157,22 +161,41 @@ def _table(path: Path, width: int) -> list[tuple[str, ...]]:
                 and "\n#" not in block
                 and block.encode().translate(None, _NOT_SEPARATOR) == row_separators * lines
             ):
-                # one iterator zipped with itself: consecutive fields, width at a time
-                rows.extend(zip(*[map(share, fields, fields)] * width))
+                yield fields
             else:
-                for n, line in _data_lines(block.split("\n"), before + 1):
-                    parts = _fields(path, n, line, width, width)
-                    rows.append(tuple(map(share, parts, parts)))
+                data = _data_lines(block.split("\n"), before + 1)
+                yield [f for n, line in data for f in _fields(path, n, line, width, width)]
             before += lines
+
+
+def _table(path: Path, width: int) -> list[tuple[str, ...]]:
+    """Rows of ``width`` fields, with one string object per distinct name in
+    the file, so a file of many rows over few names holds each name once."""
+    share = {}.setdefault
+    rows = []
+    for fields in _field_blocks(path, width):
+        # one iterator zipped with itself: consecutive fields, width at a time
+        rows.extend(zip(*[map(share, fields, fields)] * width))
     return rows
 
 
-def load_edges(path: str | Path) -> list[tuple[str, str, str]]:
-    return _table(Path(path), 3)
+def _coded_table(path: Path, width: int) -> CodedTable:
+    """Rows of ``width`` fields coded as they are read, a block at a time."""
+    table = CodedTable(width)
+    for fields in _field_blocks(path, width):
+        table.add_fields(fields)
+    table.settle()  # drops the name-to-code dicts, keeping each name once
+    return table
 
 
-def load_types(path: str | Path) -> list[tuple[str, str]]:
-    return _table(Path(path), 2)
+def load_edges(path: str | Path) -> CodedTable:
+    """The (source, relation, target) rows of an edges file, coded."""
+    return _coded_table(Path(path), 3)
+
+
+def load_types(path: str | Path) -> CodedTable:
+    """The (entity, type) rows of a types file, coded."""
+    return _coded_table(Path(path), 2)
 
 
 def load_hierarchy(path: str | Path) -> list[tuple[str, str]]:

@@ -233,7 +233,7 @@ def save_model(path: str | Path, model: LogisticModel, metapaths: Sequence[MetaP
 
 def load_model(path: str | Path) -> tuple[LogisticModel, tuple[MetaPath, ...]]:
     with open_text(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")  # text mode reads \r\n and \r as \n
     if not lines or lines[0].split("\t") != [MODEL_FORMAT, str(MODEL_VERSION)]:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
     fields: dict[str, float] = {}

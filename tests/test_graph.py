@@ -2,12 +2,13 @@ import random
 import re
 import sys
 import tracemalloc
+from unittest import mock
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hinwalk import (
@@ -21,7 +22,7 @@ from hinwalk import (
     parse_metapath,
 )
 from hinwalk import io as hio
-from hinwalk.graph import _ID, NameTable, _check_identifier, _codes, _distinct, _edges, position
+from hinwalk.graph import _ID, CodedTable, NameTable, _check_identifier, _codes, _distinct, _edges, position
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -274,28 +275,32 @@ class TestBuildGraph:
 
     def test_build_holds_one_copy_of_the_endpoints(self):
         # 60k random triples over 2,000 entities and 30 relations, so the 30
-        # forward CSRs are built last and set the peak: with the int32 entity
-        # code of every field beside the graph, the sources and targets among
-        # them gathered into relation order in place, the peak above what the
-        # graph keeps traces about 0.52 MB; with the relation-ordered
-        # endpoints gathered into new arrays beside the codes, about 1.0 MB
+        # forward CSRs are built last and set the peak: reading the coded
+        # tables in place, with the sources and targets gathered into
+        # relation order once, the peak above what the graph keeps traces
+        # about 0.52 MB; with the relation-ordered endpoints gathered into
+        # new arrays beside a second copy of the codes, about 1.0 MB. Rows
+        # given as tuples are coded into a table first, which adds that
+        # table's 12 bytes a row (and its arrays' spare room) to the peak
         rng = random.Random(0)
         names = [f"e{i:05d}" for i in range(2_000)]
         relations = [f"r{i:02d}" for i in range(30)]
         triples = [(rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(60_000)]
         types = [(e, "TT") for e in names[::2]]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            graph, _ = build_graph(triples, types, [("TT", "Object")])
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert graph.n_entities == 2_000 and len(graph.directions) == 60
-        root = graph.hierarchy.root
-        forward = [graph.step_matrix(r, False, root, root).edges for r in range(30)]
-        assert kept - before >= sum(a.nbytes for m in forward for a in (m.indptr, m.indices, m.data))
-        assert peak - kept < 12 * len(triples)
+        tables = (CodedTable(3, triples), CodedTable(2, types))
+        for rows, table_bytes in ((tables, 0), ((triples, types), 14 * len(triples))):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                graph, _ = build_graph(*rows, [("TT", "Object")])
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert graph.n_entities == 2_000 and len(graph.directions) == 60
+            root = graph.hierarchy.root
+            forward = [graph.step_matrix(r, False, root, root).edges for r in range(30)]
+            assert kept - before >= sum(a.nbytes for m in forward for a in (m.indptr, m.indices, m.data))
+            assert peak - kept < 12 * len(triples) + table_bytes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_inverse_step_is_made_on_first_use(self, seed):
@@ -339,19 +344,18 @@ class TestBuildGraph:
         (tmp_path / "edges.tsv").write_text("aa\tr1\tbb\nbb\tr2\tcc\ncc\tr1\taa\n")
         (tmp_path / "types.tsv").write_text("aa\tTT\naa\tUU\nbb\tUU\ncc\tTT\n")
         (tmp_path / "hierarchy.tsv").write_text("TT\tObject\nUU\tObject\nVV\tTT\n")
-        rows = [
-            hio.load_edges(tmp_path / "edges.tsv"),
-            hio.load_types(tmp_path / "types.tsv"),
-            hio.load_hierarchy(tmp_path / "hierarchy.tsv"),
-        ]
-        graph, hierarchy = build_graph(*rows)
+        edges = hio.load_edges(tmp_path / "edges.tsv")
+        types = hio.load_types(tmp_path / "types.tsv")
+        hierarchy_rows = hio.load_hierarchy(tmp_path / "hierarchy.tsv")
+        graph, hierarchy = build_graph(edges, types, hierarchy_rows)
         assert graph.assigned_types("aa") == frozenset({"TT", "UU"})
         kept = [*graph.entities, *graph.relations, hierarchy.root, *hierarchy.types]
         for t in hierarchy.types:
             kept += [*hierarchy.parents(t), *hierarchy.ancestors(t)]
         for e in graph.entities:
             kept += [*graph.assigned_types(e), *graph.entity_types(e)]
-        row_strings = {id(name) for table in rows for row in table for name in row}
+        table_names = [*edges.names, *edges.labels, *types.names, *types.labels]
+        row_strings = set(map(id, table_names)) | {id(name) for row in hierarchy_rows for name in row}
         assert not row_strings.intersection(map(id, kept))
 
     @pytest.mark.parametrize(
@@ -422,6 +426,69 @@ def _outcome(call, *args):
         return "ok", call(*args)
     except ValueError as err:
         return "error", str(err)
+
+
+_NAME = st.text("aé名𝔸", min_size=1, max_size=3)
+
+
+@st.composite
+def _bundle_files(draw):
+    """Edges and types files over a few short names (ASCII, Latin-1, CJK and
+    astral), with duplicate rows, typed entities with no edge, and comment
+    and blank lines that send their block through the per-line parse. Lines
+    end in LF or CRLF; either file may hold no row."""
+    edges = draw(st.lists(st.tuples(_NAME, st.sampled_from(["r", "s", "é"]), _NAME), max_size=40))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []  # duplicates
+    types = draw(st.lists(st.tuples(_NAME, st.sampled_from(["TT", "UU", "Object"])), max_size=20))
+
+    def text(rows):
+        lines = ["\t".join(row) for row in rows]
+        for i, line in draw(st.lists(st.tuples(st.integers(0, 50), st.sampled_from(["# c", "", "#"])), max_size=3)):
+            lines.insert(i % (len(lines) + 1), line)
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+        return "".join(map(str.__add__, lines, ends))
+
+    return text(edges), text(types)
+
+
+class TestCodedIngest:
+    HIERARCHY = [("TT", "Object"), ("UU", "TT")]
+
+    @given(files=_bundle_files(), block=st.sampled_from([8, 32, 8192]))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tables_build_the_graph_their_rows_build(self, tmp_path, files, block):
+        edges_path, types_path = tmp_path / "edges.tsv", tmp_path / "types.tsv"
+        for path, text in zip((edges_path, types_path), files):
+            path.write_bytes(text.encode())
+        with mock.patch.object(hio, "_BLOCK_CHARS", block):
+            edges, types = hio.load_edges(edges_path), hio.load_types(types_path)
+        rows = (list(edges), list(types))
+        want = _state(*build_graph(*rows, self.HIERARCHY))
+        assert _state(*build_graph(edges, types, self.HIERARCHY)) == want
+        # a table is read, not changed: a second build gives the same graph
+        assert _state(*build_graph(edges, types, self.HIERARCHY)) == want
+        assert (list(edges), list(types)) == rows
+
+    def test_unknown_type_names_the_first_such_row_in_file_order(self, tmp_path):
+        path = tmp_path / "types.tsv"
+        path.write_text("a\tTT\nb\tVV\nc\tTT\nd\tWW\n")
+        with pytest.raises(UnknownTypeError, match=r"\('b', 'VV'\) references a type absent"):
+            build_graph(hio.CodedTable(3, [("a", "r", "b")]), hio.load_types(path), self.HIERARCHY)
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            (("a", "r~", "b"), "relation id 'r~' must not end with '~'"),
+            (("a", "r->s", "b"), "relation id 'r->s' must not contain '->'"),
+            (("a", "r", "b->c"), "entity id 'b->c' must not contain '->'"),
+        ],
+    )
+    def test_identifier_errors_from_a_table(self, tmp_path, triple, message):
+        path = tmp_path / "edges.tsv"
+        path.write_text("\t".join(triple) + "\n")
+        with pytest.raises(ValueError) as err:
+            build_graph(hio.load_edges(path))
+        assert str(err.value) == message
 
 
 class TestNames:

@@ -76,15 +76,18 @@ class TestNameRows:
         edges.write_text("ann\tcites\tbob\nbob\tcites\tann\n# c\n\nann\tknows\tann\n")
         types = tmp_path / "types.tsv"
         types.write_text("ann\tPerson\nbob\tPerson\nbob\tAuthor\n")
-        for rows in (load_edges(edges), load_types(types)):
-            fields = [f for row in rows for f in row]
+        for table in (load_edges(edges), load_types(types)):
+            # each distinct name kept once, and the rows read back share them
+            assert len(set(table.names)) == len(table.names)
+            assert len(set(table.labels)) == len(table.labels)
+            fields = [f for row in table for f in row]
             assert len({id(f) for f in fields}) == len(set(fields))
-        assert load_edges(edges) == [
+        assert list(load_edges(edges)) == [
             ("ann", "cites", "bob"),
             ("bob", "cites", "ann"),
             ("ann", "knows", "ann"),
         ]
-        assert load_types(types) == [("ann", "Person"), ("bob", "Person"), ("bob", "Author")]
+        assert list(load_types(types)) == [("ann", "Person"), ("bob", "Person"), ("bob", "Author")]
 
     @pytest.mark.parametrize(
         "text, lineno",
@@ -130,7 +133,7 @@ class TestNameRows:
     def test_crlf_lines_parse(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_bytes(b"a\tr\tb\r\n\r\nb\tr\ta\r\n")
-        assert load_edges(path) == [("a", "r", "b"), ("b", "r", "a")]
+        assert list(load_edges(path)) == [("a", "r", "b"), ("b", "r", "a")]
 
     def test_error_in_a_later_block_names_its_absolute_line(self, tmp_path):
         row = "e00000\tr\te00001\n"
@@ -224,6 +227,101 @@ class TestTable:
         path.write_bytes(text.encode())
         with mock.patch.object(hio, "_BLOCK_CHARS", block):
             assert _outcome(hio._table, path, width) == _outcome(_reference_table, path, width)
+
+    @given(case=_table_files(), block=st.sampled_from([1, 16, 64, 16384]))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_coded_rows_equal_per_line_reference(self, tmp_path, case, block):
+        width, text = case
+        path = tmp_path / "table.tsv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(hio, "_BLOCK_CHARS", block):
+            got = _outcome(lambda p, w: list(hio._coded_table(p, w)), path, width)
+        want = _outcome(_reference_table, path, width)
+        if want[0] == "rows":  # entity and label names are kept apart: compare the rows only
+            got, want = got[:2], want[:2]
+        assert got == want
+
+
+def _edge_file(tmp_path, n_rows=3_000):
+    """An edges file of ``n_rows`` rows over 300 entities and 5 relations,
+    with duplicates, and a comment and a CRLF line that send two blocks
+    through the per-line parse."""
+    rng = random.Random(0)
+    lines = [f"e{rng.randrange(300):03d}\tr{rng.randrange(5)}\te{rng.randrange(300):03d}\n" for _ in range(n_rows)]
+    lines[10] = lines[9]
+    lines[n_rows // 2] = "# a comment\n"
+    lines[-5] = lines[-5].replace("\n", "\r\n")
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(lines), newline="")
+    return path
+
+
+class TestCodedTable:
+    def test_extend_and_write_give_the_bytes_of_the_rows(self, tmp_path):
+        # as the benchmark inputs do: load, extend a row at a time and in
+        # runs with new names, old names and duplicates, write
+        path = _edge_file(tmp_path)
+        more = [("e001", "r0", "e002"), ("new0", "dist0", "e003"), ("e004", "r1", "new0")]
+        more += [(f"e{i:03d}", f"dist{i % 2}", f"new{i}") for i in range(50)] * 2
+        table, rows = load_edges(path), list(load_edges(path))
+        assert len(table) == len(rows) == 2_999  # the comment is no row; duplicates count
+        for i in range(0, len(more), 7):
+            table.extend(iter(more[i : i + 7]))
+            rows.extend(more[i : i + 7])
+        assert len(table) == len(rows)
+        assert list(table) == rows
+        assert [table[i] for i in (0, 1, -1, len(rows) - 2)] == [rows[i] for i in (0, 1, -1, -2)]
+        write_edges(tmp_path / "from-table.tsv", table)
+        write_edges(tmp_path / "from-rows.tsv", rows)
+        assert (tmp_path / "from-table.tsv").read_bytes() == (tmp_path / "from-rows.tsv").read_bytes()
+
+    def test_types_read_as_rows(self, tmp_path):
+        path = tmp_path / "types.tsv"
+        path.write_text("ann\tPerson\nbob\tPerson\nbob\tAuthor\nann\tPerson\n")
+        table = load_types(path)
+        assert len(table) == 4
+        assert [(e, t) for e, t in table] == [("ann", "Person"), ("bob", "Person"), ("bob", "Author"), ("ann", "Person")]
+        assert table[-2] == ("bob", "Author")
+        write_types(tmp_path / "out.tsv", table)
+        assert (tmp_path / "out.tsv").read_text() == "ann\tPerson\nbob\tAuthor\nbob\tPerson\n"
+
+    @pytest.mark.parametrize("i", [3, -4])
+    def test_index_past_either_end_raises(self, tmp_path, i):
+        path = tmp_path / "edges.tsv"
+        path.write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\n")
+        with pytest.raises(IndexError):
+            load_edges(path)[i]
+
+    def test_rows_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match=r"expected rows of 3 fields, got lengths \[2, 3\]"):
+            hio.CodedTable(3, [("a", "r", "b"), ("a", "b")])
+
+    def test_error_in_a_later_types_block_names_its_absolute_line(self, tmp_path):
+        row = "e00000\tT\n"
+        bad = 2 * hio._BLOCK_CHARS // len(row) + 100  # in the third block
+        lines = [row] * (bad - 1) + ["e00000\tT\tU\n"] + [row] * 10
+        lines[5] = "\n"  # a blank line sends the first block through the per-line parse
+        path = tmp_path / "types.tsv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_types(path)
+        assert (err.value.lineno, err.value.text) == (bad, "e00000\tT\tU")
+
+    def test_a_row_keeps_its_codes_only(self, tmp_path):
+        # 30k rows over 300 entities and 5 relations: three int32 codes a row,
+        # with the code arrays' spare room, plus each distinct name once.
+        # A tuple a row costs 72 bytes or more
+        n_rows = 30_000
+        path = _edge_file(tmp_path, n_rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = load_edges(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table.names) == 300 and len(table.labels) == 5
+        assert kept < 16 * n_rows + 200 * (300 + 5) + 4096
 
 
 class TestExamples:
@@ -414,7 +512,7 @@ class TestEncodings:
         plain, marked = tmp_path / "plain", tmp_path / "marked"
         plain.write_bytes(data)
         marked.write_bytes(b"\xef\xbb\xbf" + data)
-        assert read(marked) == read(plain)
+        assert list(read(marked)) == list(read(plain))
 
     @pytest.mark.parametrize("read, data", _READERS.values(), ids=_READERS)
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
@@ -441,4 +539,38 @@ class TestEncodings:
     def test_byte_order_mark_only_at_the_start_is_skipped(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\tr\tb\n")
-        assert load_edges(path) == [("\ufeffa", "r", "b")]  # a second mark is text
+        assert list(load_edges(path)) == [("\ufeffa", "r", "b")]  # a second mark is text
+
+
+# the characters str.splitlines breaks at besides \n and \r
+_NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    def test_paths_file_example_names_its_first_line(self, tmp_path):
+        # a form feed is whitespace inside a meta-path, so the first line
+        # holds six tokens: that line is the malformed one
+        path = tmp_path / "paths.txt"
+        path.write_text("A -r-> B\x0cC -s-> D\nbad path ->\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            _load_paths_file(str(path))
+        assert str(err.value).startswith(f"{path}:1:")
+        assert err.value.text == "A -r-> B\x0cC -s-> D"
+
+    @pytest.mark.parametrize("char", _NOT_NEWLINES)
+    def test_paths_file_lines_break_only_at_newlines(self, tmp_path, char):
+        path = tmp_path / "paths.txt"
+        path.write_text(f"A -r-> B{char}\r\nbad path ->\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            _load_paths_file(str(path))
+        assert str(err.value).startswith(f"{path}:2:")
+
+    @pytest.mark.parametrize("char", _NOT_NEWLINES)
+    def test_model_file_lines_break_only_at_newlines(self, tmp_path, char):
+        path = tmp_path / "model.tsv"
+        text = f"hinwalk-model\t1\nl2\t0.01\nfit_bias\t1\r\nbias\t0.5\npath\t2\tA -r-> B{char}\nbogus\t1\n"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as err:
+            load_model(path)
+        assert (err.value.lineno, err.value.reason) == (6, "unknown model field 'bogus'")
+
