@@ -26,11 +26,11 @@ import re
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, count, filterfalse, islice, repeat
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -447,12 +447,12 @@ def _rows(rows: Iterable[tuple], width: int) -> Sequence[tuple]:
 
 # code columns are C ints, the int32 of INDEX_DTYPE, read by numpy in place
 _CODE = "i"
-_ROWS = 4096  # rows coded at a time by CodedTable.extend
+_ROWS = 4096  # rows that CodedTable.extend gathers before coding them
 
 
 class CodedTable(Sequence[tuple[str, ...]]):
-    """Rows of ``width`` names kept as int32 code columns, with no tuple
-    and no string object per row.
+    """Rows of ``width`` names, 2 or 3, kept as int32 code columns, with no
+    tuple and no string object per row.
 
     Field 1 of a row is its label (a relation or a type) and the others name
     entities. ``names`` and ``labels`` are the distinct entity and label
@@ -461,21 +461,26 @@ class CodedTable(Sequence[tuple[str, ...]]):
     row, and ``label_codes`` each row's label code: a row costs
     ``4 * width`` bytes beside the distinct names. ``len`` counts rows,
     duplicates included; indexing and iteration give each row as the tuple
-    of its names, and :meth:`extend` codes more rows. :func:`build_graph`
-    reads the code columns and the distinct names, never the rows.
+    of its names (a slice, a list of them), and :meth:`extend` adds rows.
+    :func:`build_graph` reads the code columns and the distinct names, never
+    the rows.
 
-    While rows are being coded, names are numbered through one name-to-code
-    dict per column kind; the dicts are dropped, leaving the name lists,
-    when names are next read."""
+    Rows given to :meth:`extend` are gathered and coded some thousands at a
+    time, and before anything is read. While rows are being coded, names
+    are numbered through one name-to-code dict per column kind; the dicts
+    are dropped, leaving the name lists, when names are next read."""
 
-    __slots__ = ("width", "entity_codes", "label_codes", "_names", "_numbers")
+    __slots__ = ("width", "entity_codes", "label_codes", "_names", "_numbers", "_fields")
 
     def __init__(self, width: int, rows: Iterable[tuple[str, ...]] = ()):
+        if width not in (2, 3):
+            raise ValueError(f"rows have 2 or 3 fields, not {width}")
         self.width = width
         self.entity_codes = array(_CODE)
         self.label_codes = array(_CODE)
         self._names: tuple[list[str], list[str]] = ([], [])
         self._numbers: tuple[dict[str, int], dict[str, int]] | None = None
+        self._fields: list[str] = []  # fields of rows added but not yet coded
         self.extend(rows)
 
     @property
@@ -489,16 +494,31 @@ class CodedTable(Sequence[tuple[str, ...]]):
         return self.settle()[1]
 
     def settle(self) -> tuple[list[str], list[str]]:
-        """The entity and label name lists, made from the name-to-code dicts,
-        which are dropped until more rows are coded."""
+        """The entity and label name lists, every row added coded; the
+        name-to-code dicts are dropped until more rows are coded."""
+        if self._fields:
+            self._code()
         if self._numbers is not None:  # dicts keep the order names were numbered in
             self._names = (list(self._numbers[0]), list(self._numbers[1]))
             self._numbers = None
         return self._names
 
     def add_fields(self, fields: list[str]) -> None:
-        """Code whole rows given as one list of their fields, row after row.
-        The list is changed: its label fields are deleted from it."""
+        """Code whole rows given as one list of their fields, row after row."""
+        self._fields += fields
+        self._code()
+
+    def extend(self, rows: Iterable[tuple[str, ...]]) -> None:
+        """Add ``rows``; raises ``ValueError`` unless each has ``width`` fields."""
+        rows = _rows(rows, self.width)
+        for start in range(0, len(rows), _ROWS):
+            self._fields += chain.from_iterable(rows[start : start + _ROWS])
+            if len(self._fields) >= _ROWS * self.width:
+                self._code()
+
+    def _code(self) -> None:
+        """Code the fields of the rows added since the last call."""
+        fields, self._fields = self._fields, []
         if self._numbers is None:
             # name -> code, a name not seen before numbered next
             self._numbers = tuple(
@@ -510,16 +530,12 @@ class CodedTable(Sequence[tuple[str, ...]]):
         self.entity_codes.fromlist(list(map(entity.__getitem__, fields)))
         self.label_codes.fromlist(list(map(label.__getitem__, labels)))
 
-    def extend(self, rows: Iterable[tuple[str, ...]]) -> None:
-        """Code ``rows``; raises ``ValueError`` unless each has ``width`` fields."""
-        rows = iter(_rows(rows, self.width))
-        while fields := list(chain.from_iterable(islice(rows, _ROWS))):
-            self.add_fields(fields)
-
     def __len__(self) -> int:
-        return len(self.label_codes)
+        return len(self.label_codes) + len(self._fields) // self.width
 
-    def __getitem__(self, i: int) -> tuple[str, ...]:
+    def __getitem__(self, i: int | slice) -> tuple[str, ...] | list[tuple[str, ...]]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         names, labels = self.settle()
         i = range(len(self))[i]  # IndexError past either end
         k = self.width - 1
@@ -534,11 +550,12 @@ class CodedTable(Sequence[tuple[str, ...]]):
 
 
 def _coded(rows: Iterable[tuple[str, ...]], width: int) -> CodedTable:
-    """``rows`` as a :class:`CodedTable` of ``width``: the table itself, or
-    its rows coded into a new one."""
-    if isinstance(rows, CodedTable) and rows.width == width:
-        return rows
-    return CodedTable(width, rows)
+    """``rows`` as a :class:`CodedTable` of ``width``, every row coded: the
+    table itself, or its rows coded into a new one."""
+    if not (isinstance(rows, CodedTable) and rows.width == width):
+        rows = CodedTable(width, rows)
+    rows.settle()
+    return rows
 
 
 def _view(codes: array) -> np.ndarray:
@@ -546,14 +563,47 @@ def _view(codes: array) -> np.ndarray:
     return np.frombuffer(codes, INDEX_DTYPE)
 
 
-def _runs(codes: np.ndarray, k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Positions ordered by code, stably, and the ``[start, end)`` run of each
-    code ``0 .. k-1`` in that order."""
-    ends = np.cumsum(np.bincount(codes, minlength=k)).tolist()
-    return np.argsort(codes, kind="stable"), list(zip([0] + ends[:-1], ends))
+_PLACE = 4096  # positions placed at a time by _runs
 
 
-_BLOCK = 1 << 16  # fields recoded at a time by _codes
+def _runs(codes: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Positions ordered stably by ``rank[codes]``, as int32, and the
+    ``[start, end)`` run of each rank ``0 .. len(rank)-1`` in that order.
+
+    A counting sort: the positions are placed a block at a time, each
+    block's own stable sort giving their order within a rank, so beside the
+    order returned only one small block's temporaries are made."""
+    k = len(rank)
+    sizes = np.zeros(k, np.intp)
+    sizes[rank] = np.bincount(codes, minlength=k)
+    ends = np.cumsum(sizes)
+    free = ends - sizes  # the next place of each rank
+    order = np.empty(len(codes), INDEX_DTYPE)
+    steps = np.arange(_PLACE)
+    for start in range(0, len(codes), _PLACE):
+        block = rank[codes[start : start + _PLACE]]
+        sort = np.argsort(block, kind="stable")
+        counts = np.bincount(block, minlength=k)
+        # the j-th position of the sorted block goes to its rank's next
+        # place, plus j, less the block's positions of lower rank
+        place = (free - (np.cumsum(counts) - counts))[block[sort]]
+        place += steps[: len(block)]
+        sort += start
+        order[place] = sort
+        free += counts
+    ends = ends.tolist()
+    return order, list(zip([0] + ends[:-1], ends))
+
+
+_BLOCK = 1 << 16  # fields recoded at a time by _recode
+
+
+def _recode(codes: np.ndarray, index: np.ndarray) -> None:
+    """Rewrite each code ``c`` to ``index[c]`` in place, a block at a time,
+    so no second full-length array is made."""
+    for start in range(0, len(codes), _BLOCK):
+        block = codes[start : start + _BLOCK]
+        block[:] = index[block]
 
 
 def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
@@ -572,9 +622,7 @@ def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
     seen.update(zip(names, count()))  # same keys and order: values become sorted indices
     index = np.fromiter(seen.values(), INDEX_DTYPE, len(names))  # by first-seen number
     del seen
-    for start in range(0, size, _BLOCK):
-        block = codes[start : start + _BLOCK]
-        block[:] = index[block]
+    _recode(codes, index)
     return names, codes
 
 
@@ -647,6 +695,11 @@ def build_graph(
     The graph keeps its entity names as one :class:`NameTable`, and every
     relation and type name the graph and hierarchy keep is a new string cut
     from one too, so dropping the caller's rows or tables frees their memory.
+    While the adjacency is built, what is held beside the caller's rows and
+    the graph is the int32 entity code of every edge field, the sources and
+    targets among them recoded and gathered into relation order in place:
+    the codes of a table coded here from tuple rows, the rest of which is
+    dropped, or a copy of a given table's.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
     edges = _coded(triples, 3)
@@ -663,11 +716,9 @@ def build_graph(
             f"type assignment ({entity!r}, {type_id!r}) references a type absent from the hierarchy"
         )
 
-    # each edge's place in relation order (one sort, not one full-length
-    # mask per relation), kept as int32
+    # each edge's place in relation order, as int32
     relation_names, rank = _codes(edges.labels, len(edges.labels))
-    order, runs = _runs(rank[_view(edges.label_codes)], len(relation_names))
-    order = order.astype(INDEX_DTYPE)
+    order, runs = _runs(_view(edges.label_codes), rank)
 
     # the sorted entity names of both tables; rank[c] is the index there of
     # edge entity code c, and rank[k + c] of type entity code c
@@ -680,11 +731,19 @@ def build_graph(
     relations = NameTable("relation", relation_names)
     type_codes, type_sets = _type_codes(rank[k:][_view(types.entity_codes)], type_at, n, hierarchy)
 
-    # each edge's source and target entity, gathered into relation order
-    ends = _view(edges.entity_codes).reshape(-1, 2)
-    src = rank[ends[:, 0][order]]
-    dst = rank[ends[:, 1][order]]
-    del ends, order
+    # each edge's source and target entity, recoded and gathered into
+    # relation order in place, through one scratch column: in the edge codes
+    # of a table made here, which is dropped but for them, else in a copy of
+    # the caller's table's, which is read, never changed
+    ends = _view(edges.entity_codes)
+    if edges is triples:
+        ends = ends.copy()
+    del edges, types
+    _recode(ends, rank)
+    src, dst = ends.reshape(-1, 2).T
+    src[:] = src[order]
+    dst[:] = dst[order]
+    del order
     adjacency = [_edges(src[a:b], dst[a:b], n) for a, b in runs]
 
     graph = HinGraph(entities, relations, adjacency, type_codes, type_sets, hierarchy)

@@ -17,7 +17,7 @@ read, through one first-seen numbering of entity names and one of the label
 column (relation or type), and return a :class:`~hinwalk.graph.CodedTable`:
 int32 code columns and the distinct names, with no tuple per row.
 ``list(table)`` gives the rows as tuples of names. ``load_hierarchy``, a few
-lines in practice, returns rows.
+lines in practice, reads its file the same way and returns that list.
 
 The canonical writers (``write_edges``, ``write_types``, ``write_hierarchy``
 and ``write_examples``) write sorted, unique lines, so the same records give
@@ -112,7 +112,7 @@ def _fields(path: Path, lineno: int, line: str, minimum: int, maximum: int) -> l
     return parts
 
 
-# Characters per block read by _table: a few hundred lines, enough to make
+# Characters per block read by _field_blocks: a few hundred lines, enough to make
 # the per-block checks cheap. Larger blocks measured a higher peak RSS in the
 # stages after loading (lp-planted: +2 MB at 65,536 characters, and +0.7 MB
 # in about half the runs at 16,384).
@@ -168,17 +168,6 @@ def _field_blocks(path: Path, width: int) -> Iterator[list[str]]:
             before += lines
 
 
-def _table(path: Path, width: int) -> list[tuple[str, ...]]:
-    """Rows of ``width`` fields, with one string object per distinct name in
-    the file, so a file of many rows over few names holds each name once."""
-    share = {}.setdefault
-    rows = []
-    for fields in _field_blocks(path, width):
-        # one iterator zipped with itself: consecutive fields, width at a time
-        rows.extend(zip(*[map(share, fields, fields)] * width))
-    return rows
-
-
 def _coded_table(path: Path, width: int) -> CodedTable:
     """Rows of ``width`` fields coded as they are read, a block at a time."""
     table = CodedTable(width)
@@ -199,7 +188,8 @@ def load_types(path: str | Path) -> CodedTable:
 
 
 def load_hierarchy(path: str | Path) -> list[tuple[str, str]]:
-    return _table(Path(path), 2)
+    """The (child, parent) rows of a hierarchy file."""
+    return list(_coded_table(Path(path), 2))
 
 
 def load_examples(path: str | Path) -> list[ExampleRow]:

@@ -275,20 +275,20 @@ class TestBuildGraph:
 
     def test_build_holds_one_copy_of_the_endpoints(self):
         # 60k random triples over 2,000 entities and 30 relations, so the 30
-        # forward CSRs are built last and set the peak: reading the coded
-        # tables in place, with the sources and targets gathered into
-        # relation order once, the peak above what the graph keeps traces
-        # about 0.52 MB; with the relation-ordered endpoints gathered into
-        # new arrays beside a second copy of the codes, about 1.0 MB. Rows
-        # given as tuples are coded into a table first, which adds that
-        # table's 12 bytes a row (and its arrays' spare room) to the peak
+        # forward CSRs are built last and set the peak: with the int32 entity
+        # code of every field beside the graph, the sources and targets among
+        # them recoded and gathered into relation order in place, the peak
+        # above what the graph keeps traces about 0.52 MB; with the
+        # relation-ordered endpoints gathered into new arrays beside the
+        # codes, about 1.0 MB. Rows given as tuples are coded into a table
+        # that is dropped but for its entity codes, and tables coded before
+        # the build are read in place, so both keep the bound
         rng = random.Random(0)
         names = [f"e{i:05d}" for i in range(2_000)]
         relations = [f"r{i:02d}" for i in range(30)]
         triples = [(rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(60_000)]
         types = [(e, "TT") for e in names[::2]]
-        tables = (CodedTable(3, triples), CodedTable(2, types))
-        for rows, table_bytes in ((tables, 0), ((triples, types), 14 * len(triples))):
+        for rows in ((triples, types), (CodedTable(3, triples), CodedTable(2, types))):
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -300,7 +300,7 @@ class TestBuildGraph:
             root = graph.hierarchy.root
             forward = [graph.step_matrix(r, False, root, root).edges for r in range(30)]
             assert kept - before >= sum(a.nbytes for m in forward for a in (m.indptr, m.indices, m.data))
-            assert peak - kept < 12 * len(triples) + table_bytes
+            assert peak - kept < 12 * len(triples)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_inverse_step_is_made_on_first_use(self, seed):
