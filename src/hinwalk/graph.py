@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, count, filterfalse, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,12 +99,12 @@ class NameTable(Sequence[str]):
     where each name starts, plus one offset past the text's end: name ``i``
     is ``_text[_starts[i] : _starts[i + 1] - 1]``, a new string on every
     read (one-character Latin-1 names are interpreter singletons either
-    way). So the table keeps none of its caller's strings, which would keep
-    alive the whole memory arenas they share with the caller's rows, and
-    costs one character and one 8-byte offset per name beyond the names'
-    characters. Names are found by binary search (:func:`position`), which
-    ``in`` uses too. Raises ``ValueError`` for the smallest name that is not
-    a valid id.
+    way), and a slice is the list of its names. So the table keeps none of
+    its caller's strings, which would keep alive the whole memory arenas
+    they share with the caller's rows, and costs one character and one
+    8-byte offset per name beyond the names' characters. Names are found by
+    binary search (:func:`position`), which ``in`` uses too. Raises
+    ``ValueError`` for the smallest name that is not a valid id.
 
     Every name is a valid id exactly when none is empty and the text holds
     one newline per name, no other whitespace and no ``->``, which is checked
@@ -125,13 +126,16 @@ class NameTable(Sequence[str]):
     def __len__(self) -> int:
         return len(self._starts) - 1
 
-    def __getitem__(self, i: int) -> str:
+    def __getitem__(self, i: int | slice) -> str | list[str]:
         starts = self._starts
-        if i < 0:
-            i += len(starts) - 1
+        try:  # an int in range, the binary searches' hot path, tests only its sign
             if i < 0:
-                raise IndexError("name index out of range")
-        return self._text[starts[i] : starts[i + 1] - 1]  # IndexError past the last name
+                i = range(len(self))[i]  # IndexError before the first name
+            return self._text[starts[i] : starts[i + 1] - 1]  # IndexError past the last
+        except IndexError:
+            raise IndexError("name index out of range") from None
+        except TypeError:  # a slice, or any other key, which range rejects
+            return list(map(self.__getitem__, range(len(self))[i]))  # map: self stays a local
 
     def __iter__(self) -> Iterator[str]:
         return islice(self._text.split("\n"), len(self))
@@ -527,8 +531,10 @@ class CodedTable(Sequence[tuple[str, ...]]):
         entity, label = self._numbers
         labels = fields[1 :: self.width]
         del fields[1 :: self.width]
-        self.entity_codes.fromlist(list(map(entity.__getitem__, fields)))
-        self.label_codes.fromlist(list(map(label.__getitem__, labels)))
+        for codes, number, column in (self.entity_codes, entity, fields), (self.label_codes, label, labels):
+            if column:  # one itemgetter call; one key more, popped, keeps its result a tuple
+                codes.fromlist(list(itemgetter(*column, column[0])(number)))
+                codes.pop()
 
     def __len__(self) -> int:
         return len(self.label_codes) + len(self._fields) // self.width
@@ -606,24 +612,17 @@ def _recode(codes: np.ndarray, index: np.ndarray) -> None:
         block[:] = index[block]
 
 
-def _codes(column: Iterable[str], size: int) -> tuple[list[str], np.ndarray]:
-    """The distinct names of a column of ``size`` fields, sorted, and each
-    field's index among them.
-
-    One dict pass numbers each name in the order it is first seen, one sort
-    of the distinct names gives each number its sorted index, and the
-    fields' numbers are rewritten to those indices in place, a block at a
-    time, so no second full-length array is made. A file written in sorted
-    order is nearly sorted in first-seen order too, which the sort is quick
-    on."""
-    seen: defaultdict[str, int] = defaultdict(count().__next__)  # name -> first-seen number
-    codes = np.fromiter(map(seen.__getitem__, column), INDEX_DTYPE, size)
-    names = sorted(seen)
-    seen.update(zip(names, count()))  # same keys and order: values become sorted indices
-    index = np.fromiter(seen.values(), INDEX_DTYPE, len(names))  # by first-seen number
-    del seen
-    _recode(codes, index)
-    return names, codes
+def _ranks(*parts: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted union of lists of distinct names, and for each list the
+    int32 index there of each of its names: one dict pass numbers the names
+    as first seen, and one sort ranks the numbers. Names a loader read from
+    a sorted file come nearly sorted, which the sort is quick on."""
+    number: defaultdict[str, int] = defaultdict(count().__next__)  # name -> first-seen number
+    seen = [np.fromiter(map(number.__getitem__, part), INDEX_DTYPE, len(part)) for part in parts]
+    names = sorted(number)
+    number.update(zip(names, count()))  # same keys and order: values become sorted indices
+    index = np.fromiter(number.values(), INDEX_DTYPE, len(names))  # by first-seen number
+    return names, [index[s] for s in seen]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -688,9 +687,10 @@ def build_graph(
 
     Edges and types are read as :class:`CodedTable` code columns, the form
     ``io.load_edges`` and ``io.load_types`` return; rows given as tuples are
-    first coded into one, and a table is read, never changed. The distinct
-    entity names of both tables are sorted once, and the code columns are
-    recoded and gathered from them, so no name is read per row.
+    first coded into one, and a table is read, never changed. Each table's
+    names are numbered once, by its loader as it reads (or as its rows are
+    coded), so the build only sorts the tables' distinct names and recodes
+    the code columns to positions in that order: no name is read per row.
 
     The graph keeps its entity names as one :class:`NameTable`, and every
     relation and type name the graph and hierarchy keep is a new string cut
@@ -717,19 +717,18 @@ def build_graph(
         )
 
     # each edge's place in relation order, as int32
-    relation_names, rank = _codes(edges.labels, len(edges.labels))
-    order, runs = _runs(_view(edges.label_codes), rank)
+    relation_names, (relation_rank,) = _ranks(edges.labels)
+    order, runs = _runs(_view(edges.label_codes), relation_rank)
 
-    # the sorted entity names of both tables; rank[c] is the index there of
-    # edge entity code c, and rank[k + c] of type entity code c
-    k = len(edges.names)
-    names, rank = _codes(chain(edges.names, types.names), k + len(types.names))
+    # the sorted entity names of both tables; edge_rank[c] is the index
+    # there of edge entity code c, and type_rank[c] of type entity code c
+    names, (edge_rank, type_rank) = _ranks(edges.names, types.names)
     entities = NameTable("entity", names)
     n = len(entities)
     for name in relation_names:
         _check_identifier("relation", name)
     relations = NameTable("relation", relation_names)
-    type_codes, type_sets = _type_codes(rank[k:][_view(types.entity_codes)], type_at, n, hierarchy)
+    type_codes, type_sets = _type_codes(type_rank[_view(types.entity_codes)], type_at, n, hierarchy)
 
     # each edge's source and target entity, recoded and gathered into
     # relation order in place, through one scratch column: in the edge codes
@@ -739,7 +738,7 @@ def build_graph(
     if edges is triples:
         ends = ends.copy()
     del edges, types
-    _recode(ends, rank)
+    _recode(ends, edge_rank)
     src, dst = ends.reshape(-1, 2).T
     src[:] = src[order]
     dst[:] = dst[order]

@@ -22,7 +22,7 @@ from hinwalk import (
     parse_metapath,
 )
 from hinwalk import io as hio
-from hinwalk.graph import _ID, CodedTable, NameTable, _check_identifier, _codes, _distinct, _edges, position
+from hinwalk.graph import _ID, CodedTable, NameTable, _check_identifier, _distinct, _edges, _ranks, position
 from conftest import G1_HIERARCHY, G1_TRIPLES, G1_TYPES
 
 from corpus import random_typed_graph
@@ -579,26 +579,47 @@ class TestNames:
         assert distinct.dtype == np.int64
         assert distinct.tolist() == np.unique(a).tolist()
 
-    def test_codes_hold_no_second_full_length_array(self):
-        # 300k fields over 2,000 names: beside the 1.2 MB of codes returned,
-        # coding holds its dict, the sorted names and one block of fields
-        # (about 0.34 MB traced), never a second array as long as the column
-        column = [f"e{i:04d}" for i in range(2_000)][::-1] * 150
-        tracemalloc.start()
-        try:
-            _, codes = _codes(iter(column), len(column))
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - kept < codes.nbytes // 2
+    @given(
+        parts=st.lists(
+            # names that differ only in case or by a prefix, non-ASCII and
+            # astral names; parts overlap, miss each other's names or are empty
+            st.lists(st.sampled_from(["a", "A", "ab", "aB", "b", "é", "éa", "Ω1", "𝔸x"]), unique=True),
+            max_size=4,
+        )
+    )
+    @example(parts=[])
+    @example(parts=[[], ["b", "a"], []])
+    @example(parts=[["é", "Ω1"], ["𝔸x", "é", "a"], ["A"]])
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_index_the_sorted_union(self, parts):
+        names, ranks = _ranks(*parts)
+        assert names == sorted(set().union(*parts))
+        assert len(ranks) == len(parts)
+        for part, rank in zip(parts, ranks):
+            assert rank.dtype == np.int32
+            assert rank.tolist() == [names.index(x) for x in part]
 
-    @given(column=st.lists(st.sampled_from(["b", "a", "c", "ab", "é"])))
-    @settings(max_examples=100, deadline=None)
-    def test_codes_index_the_sorted_names(self, column):
-        names, codes = _codes(iter(column), len(column))
-        assert names == sorted(set(column))
-        assert codes.dtype == np.int32
-        assert codes.tolist() == [names.index(name) for name in column]
+    # bounds run past both ends of the at most 6 names
+    _BOUND = st.none() | st.integers(-9, 9)
+
+    @given(
+        names=st.lists(st.text("ab", min_size=1, max_size=3), max_size=6, unique=True),
+        cuts=st.lists(st.builds(slice, _BOUND, _BOUND, _BOUND.filter(lambda step: step != 0))),
+    )
+    @example(names=[], cuts=[slice(None), slice(-1, None)])
+    @example(names=["a", "b"], cuts=[slice(None, None, -1), slice(9, -9, -1), slice(-9, 9)])
+    @settings(max_examples=200, deadline=None)
+    def test_table_slices_like_a_list(self, names, cuts):
+        names.sort()
+        table, n = NameTable("entity", names), len(names)
+        for cut in cuts:
+            assert table[cut] == list(table)[cut] == names[cut]
+        for i in range(-n - 2, n + 2):
+            if -n <= i < n:
+                assert table[i] == names[i]
+            else:
+                with pytest.raises(IndexError, match="^name index out of range$"):
+                    table[i]
 
 
 class TestNeighbors:
