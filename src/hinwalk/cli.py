@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 file or argument parse error, 3 precondition or
 validation error, 4 work budget exhausted (a product over ``walks.NNZ_BUDGET``
-included). Human-readable text goes to stdout; machine-readable reports are
+included, and a ``MemoryError`` in any stage). Human-readable text goes to stdout; machine-readable reports are
 written to ``--output`` and never interleave with it.
 """
 
@@ -385,6 +385,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:  # numpy's names the refused allocation; Python's own is bare
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

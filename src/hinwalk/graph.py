@@ -17,7 +17,10 @@ itself. Each entity's types are kept once, as one small integer code (the
 narrowest unsigned dtype that holds it) into the graph's distinct assigned
 type sets. No closure under the hierarchy is stored: type members, typed
 cuts and closed types are derived from the sets and the hierarchy's
-ancestors when asked for (:meth:`HinGraph.type_members`).
+ancestors when asked for (:meth:`HinGraph.type_members`). Graphs are built
+by :func:`build_graph` from edge and type tables (:class:`CodedTable`, one
+int32 code column per field, the form the loaders return), which it reads
+and never writes to or copies.
 """
 
 from __future__ import annotations
@@ -451,7 +454,7 @@ def _rows(rows: Iterable[tuple], width: int) -> Sequence[tuple]:
 
 # code columns are C ints, the int32 of INDEX_DTYPE, read by numpy in place
 _CODE = "i"
-_ROWS = 4096  # rows that CodedTable.extend gathers before coding them
+_ROWS = 4096  # rows that CodedTable.extend gathers before coding, or _runs places, at a time
 
 
 class CodedTable(Sequence[tuple[str, ...]]):
@@ -460,28 +463,27 @@ class CodedTable(Sequence[tuple[str, ...]]):
 
     Field 1 of a row is its label (a relation or a type) and the others name
     entities. ``names`` and ``labels`` are the distinct entity and label
-    names in the order first seen, so a code is a position there.
-    ``entity_codes`` holds each row's ``width - 1`` entity codes, row after
-    row, and ``label_codes`` each row's label code: a row costs
-    ``4 * width`` bytes beside the distinct names. ``len`` counts rows,
-    duplicates included; indexing and iteration give each row as the tuple
-    of its names (a slice, a list of them), and :meth:`extend` adds rows.
-    :func:`build_graph` reads the code columns and the distinct names, never
-    the rows.
+    names in the order they were numbered, so a code is a position there.
+    ``columns`` holds one code column per field, an ``array('i')`` each:
+    field 1 is coded through the label names and the others through the
+    entity names, so a row costs ``4 * width`` bytes beside the distinct
+    names. ``len`` counts rows, duplicates included; indexing and iteration
+    give each row as the tuple of its names (a slice, a list of them), and
+    :meth:`extend` adds rows. :func:`build_graph` reads the code columns and
+    the distinct names, never the rows.
 
     Rows given to :meth:`extend` are gathered and coded some thousands at a
     time, and before anything is read. While rows are being coded, names
     are numbered through one name-to-code dict per column kind; the dicts
     are dropped, leaving the name lists, when names are next read."""
 
-    __slots__ = ("width", "entity_codes", "label_codes", "_names", "_numbers", "_fields")
+    __slots__ = ("width", "columns", "_names", "_numbers", "_fields")
 
     def __init__(self, width: int, rows: Iterable[tuple[str, ...]] = ()):
         if width not in (2, 3):
             raise ValueError(f"rows have 2 or 3 fields, not {width}")
         self.width = width
-        self.entity_codes = array(_CODE)
-        self.label_codes = array(_CODE)
+        self.columns = tuple(array(_CODE) for _ in range(width))
         self._names: tuple[list[str], list[str]] = ([], [])
         self._numbers: tuple[dict[str, int], dict[str, int]] | None = None
         self._fields: list[str] = []  # fields of rows added but not yet coded
@@ -529,30 +531,28 @@ class CodedTable(Sequence[tuple[str, ...]]):
                 defaultdict(count(len(names)).__next__, zip(names, count())) for names in self._names
             )
         entity, label = self._numbers
-        labels = fields[1 :: self.width]
-        del fields[1 :: self.width]
-        for codes, number, column in (self.entity_codes, entity, fields), (self.label_codes, label, labels):
+        for f, codes in enumerate(self.columns):
+            column = fields[f :: self.width]
             if column:  # one itemgetter call; one key more, popped, keeps its result a tuple
-                codes.fromlist(list(itemgetter(*column, column[0])(number)))
+                codes.fromlist(list(itemgetter(*column, column[0])(label if f == 1 else entity)))
                 codes.pop()
 
+    def _by_field(self) -> tuple[list[str], ...]:
+        """Each field's names by code, every row coded."""
+        names, labels = self.settle()
+        return (names, labels, names)[: self.width]
+
     def __len__(self) -> int:
-        return len(self.label_codes) + len(self._fields) // self.width
+        return len(self.columns[0]) + len(self._fields) // self.width
 
     def __getitem__(self, i: int | slice) -> tuple[str, ...] | list[tuple[str, ...]]:
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        names, labels = self.settle()
         i = range(len(self))[i]  # IndexError past either end
-        k = self.width - 1
-        first, *rest = map(names.__getitem__, self.entity_codes[i * k : i * k + k])
-        return (first, labels[self.label_codes[i]], *rest)
+        return tuple(names[codes[i]] for names, codes in zip(self._by_field(), self.columns))
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
-        names, labels = self.settle()
-        ends = map(names.__getitem__, self.entity_codes)
-        # one iterator over entity fields twice in a row of three: source, then target
-        return zip(*[ends, map(labels.__getitem__, self.label_codes), ends][: self.width])
+        return zip(*(map(names.__getitem__, codes) for names, codes in zip(self._by_field(), self.columns)))
 
 
 def _coded(rows: Iterable[tuple[str, ...]], width: int) -> CodedTable:
@@ -569,9 +569,6 @@ def _view(codes: array) -> np.ndarray:
     return np.frombuffer(codes, INDEX_DTYPE)
 
 
-_PLACE = 4096  # positions placed at a time by _runs
-
-
 def _runs(codes: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Positions ordered stably by ``rank[codes]``, as int32, and the
     ``[start, end)`` run of each rank ``0 .. len(rank)-1`` in that order.
@@ -585,9 +582,9 @@ def _runs(codes: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, list[tuple[i
     ends = np.cumsum(sizes)
     free = ends - sizes  # the next place of each rank
     order = np.empty(len(codes), INDEX_DTYPE)
-    steps = np.arange(_PLACE)
-    for start in range(0, len(codes), _PLACE):
-        block = rank[codes[start : start + _PLACE]]
+    steps = np.arange(_ROWS)
+    for start in range(0, len(codes), _ROWS):
+        block = rank[codes[start : start + _ROWS]]
         sort = np.argsort(block, kind="stable")
         counts = np.bincount(block, minlength=k)
         # the j-th position of the sorted block goes to its rank's next
@@ -599,17 +596,6 @@ def _runs(codes: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, list[tuple[i
         free += counts
     ends = ends.tolist()
     return order, list(zip([0] + ends[:-1], ends))
-
-
-_BLOCK = 1 << 16  # fields recoded at a time by _recode
-
-
-def _recode(codes: np.ndarray, index: np.ndarray) -> None:
-    """Rewrite each code ``c`` to ``index[c]`` in place, a block at a time,
-    so no second full-length array is made."""
-    for start in range(0, len(codes), _BLOCK):
-        block = codes[start : start + _BLOCK]
-        block[:] = index[block]
 
 
 def _ranks(*parts: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
@@ -687,19 +673,21 @@ def build_graph(
 
     Edges and types are read as :class:`CodedTable` code columns, the form
     ``io.load_edges`` and ``io.load_types`` return; rows given as tuples are
-    first coded into one, and a table is read, never changed. Each table's
-    names are numbered once, by its loader as it reads (or as its rows are
-    coded), so the build only sorts the tables' distinct names and recodes
-    the code columns to positions in that order: no name is read per row.
+    first coded into one. Each table's names are numbered once, by its
+    loader as it reads (or as its rows are coded), so the build only sorts
+    the tables' distinct names and ranks codes to positions in that order:
+    no name is read per row.
 
     The graph keeps its entity names as one :class:`NameTable`, and every
     relation and type name the graph and hierarchy keep is a new string cut
     from one too, so dropping the caller's rows or tables frees their memory.
-    While the adjacency is built, what is held beside the caller's rows and
-    the graph is the int32 entity code of every edge field, the sources and
-    targets among them recoded and gathered into relation order in place:
-    the codes of a table coded here from tuple rows, the rest of which is
-    dropped, or a copy of a given table's.
+    A table is never written to or copied: the edges' source column, then
+    their target column, is gathered into relation order as a new int32
+    array, and each relation's ends are ranked as its adjacency is built. A
+    table coded here from tuple rows is dropped before the gather, so each
+    of its columns is freed once gathered. While the adjacency is built,
+    what is held beside the caller's rows or tables and the graph is those
+    relation-ordered sources and targets, 8 bytes an edge.
     """
     hierarchy = TypeHierarchy(hierarchy_edges)
     edges = _coded(triples, 3)
@@ -709,7 +697,7 @@ def build_graph(
     type_index = dict(zip(hierarchy.types, count()))
     labels = types.labels
     label_at = np.fromiter(map(type_index.get, labels, repeat(-1)), INDEX_DTYPE, len(labels))
-    type_at = label_at[_view(types.label_codes)]
+    type_at = label_at[_view(types.columns[1])]
     if (type_at < 0).any():
         entity, type_id = types[int(np.argmax(type_at < 0))]
         raise UnknownTypeError(
@@ -718,7 +706,7 @@ def build_graph(
 
     # each edge's place in relation order, as int32
     relation_names, (relation_rank,) = _ranks(edges.labels)
-    order, runs = _runs(_view(edges.label_codes), relation_rank)
+    order, runs = _runs(_view(edges.columns[1]), relation_rank)
 
     # the sorted entity names of both tables; edge_rank[c] is the index
     # there of edge entity code c, and type_rank[c] of type entity code c
@@ -728,22 +716,17 @@ def build_graph(
     for name in relation_names:
         _check_identifier("relation", name)
     relations = NameTable("relation", relation_names)
-    type_codes, type_sets = _type_codes(type_rank[_view(types.entity_codes)], type_at, n, hierarchy)
+    type_codes, type_sets = _type_codes(type_rank[_view(types.columns[0])], type_at, n, hierarchy)
 
-    # each edge's source and target entity, recoded and gathered into
-    # relation order in place, through one scratch column: in the edge codes
-    # of a table made here, which is dropped but for them, else in a copy of
-    # the caller's table's, which is read, never changed
-    ends = _view(edges.entity_codes)
-    if edges is triples:
-        ends = ends.copy()
+    # each edge's source and target entity code, gathered into relation
+    # order as new arrays, the sources first: a table made here is dropped
+    # first, so each of its columns is freed once gathered
+    src, dst = _view(edges.columns[0]), _view(edges.columns[2])
     del edges, types
-    _recode(ends, edge_rank)
-    src, dst = ends.reshape(-1, 2).T
-    src[:] = src[order]
-    dst[:] = dst[order]
+    src = src[order]
+    dst = dst[order]
     del order
-    adjacency = [_edges(src[a:b], dst[a:b], n) for a, b in runs]
+    adjacency = [_edges(edge_rank[src[a:b]], edge_rank[dst[a:b]], n) for a, b in runs]
 
     graph = HinGraph(entities, relations, adjacency, type_codes, type_sets, hierarchy)
     return graph, hierarchy

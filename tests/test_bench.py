@@ -56,6 +56,12 @@ def test_sizes_below_one_rejected(sizes):
         BenchConfig(example_sizes=sizes)
 
 
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_repeats_below_one_rejected(repeats):
+    with pytest.raises(ValueError, match=f"repeats must be >= 1, got {repeats}"):
+        BenchConfig(repeats=repeats)
+
+
 def test_timeout_censors_cell(g2):
     graph, _ = g2
     # a timeout far below one enumeration's duration (a timeout must be > 0)

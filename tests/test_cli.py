@@ -2,11 +2,14 @@ import shutil
 
 import pytest
 
-from hinwalk import SearchConfig, parse_metapath, walks
+from hinwalk import SearchConfig, auc, parse_metapath, walks
+from hinwalk import io as hio
 from hinwalk.bench import BenchConfig
 from hinwalk.cli import build_parser, main
 from hinwalk.io import read_report
 from hinwalk.synth import SyntheticSpec
+
+P_STAR = "Venue -publishIn~-> Paper -authorOf~-> Author -authorOf-> Paper -publishIn-> Venue"
 
 
 @pytest.fixture
@@ -52,11 +55,16 @@ def test_full_link_prediction_chain(workdir, tmp_path):
     labeled = workdir / "labeled.tsv"
     labeled.write_text("v1\tv2\t1.0\t1\nv1\tv3\t1.0\t1\nv2\tv3\t1.0\t0\nv3\tv2\t1.0\t0\n")
     model_file = workdir / "model.tsv"
+    train_report = workdir / "train.jsonl"
     assert main(
         ["train-lp", *bundle_args(workdir), "--examples", str(labeled),
-         "--paths", str(paths_out), "--model-out", str(model_file)]
+         "--paths", str(paths_out), "--model-out", str(model_file), "--output", str(train_report)]
     ) == 0
     assert model_file.exists()
+    header, (row,) = read_report(train_report)
+    assert header["report"] == "train-lp"
+    assert (row["n_pairs"], row["n_paths"]) == (4, 2)
+    assert 0.0 <= row["training_accuracy"] <= 1.0
 
     predictions = workdir / "pred.jsonl"
     assert main(
@@ -68,7 +76,11 @@ def test_full_link_prediction_chain(workdir, tmp_path):
     assert len(rows) == 4
     assert all(0.0 <= r["probability"] <= 1.0 for r in rows)
 
-    assert main(["eval-auc", "--predictions", str(predictions)]) == 0
+    auc_report = workdir / "auc.jsonl"
+    assert main(["eval-auc", "--predictions", str(predictions), "--output", str(auc_report)]) == 0
+    header, auc_rows = read_report(auc_report)
+    assert header["report"] == "eval-auc"
+    assert auc_rows == [{"auc": auc([r["probability"] for r in rows], [r["label"] for r in rows]), "n_pairs": 4}]
 
 
 def test_score_command(workdir, capsys):
@@ -302,6 +314,55 @@ def test_precondition_exit_code(tmp_path, g2_dir):
         ["generate-paths", "--edges", str(g2_dir / "edges.tsv"), "--examples", str(empty)]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, reason",
+    [
+        ("score", "no meta-paths found"),
+        ("train-lp", "training examples need a 0/1 label column"),
+        ("eval-auc", "predictions report lacks labels"),
+        ("bench", "benchmark needs positive example pairs"),
+    ],
+)
+def test_unusable_inputs_are_precondition(workdir, capsys, command, reason):
+    comments = workdir / "comments.txt"
+    comments.write_text(f"# no meta-path\n\n  \n# {P_STAR}\n")
+    paths = workdir / "paths.txt"
+    paths.write_text(P_STAR + "\n")
+    negatives = workdir / "negatives.tsv"
+    negatives.write_text("v1\tv2\t1.0\t0\nv1\tv3\t1.0\t0\n")
+    predictions = workdir / "pred.jsonl"
+    predictions.write_text('{"report": "predict-lp", "version": 1}\n{"probability": 0.5}\n')
+    examples, model = str(workdir / "examples.tsv"), workdir / "model.tsv"  # examples: no label column
+    argv = {
+        "score": ["score", *bundle_args(workdir), "--paths", str(comments), "--pairs", examples],
+        "train-lp": ["train-lp", *bundle_args(workdir), "--examples", examples, "--paths", str(paths),
+                     "--model-out", str(model)],
+        "eval-auc": ["eval-auc", "--predictions", str(predictions)],
+        "bench": ["bench", *bundle_args(workdir), "--examples", str(negatives), "--repeats", "1"],
+    }[command]
+    assert main([*argv, "--output", str(workdir / "out.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert not (workdir / "out.jsonl").exists() and not model.exists()
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 8.00 GiB"), "error: out of memory: Unable to allocate 8.00 GiB\n"),
+    ],
+)
+def test_out_of_memory_exits_4(workdir, capsys, monkeypatch, exc, line):
+    def exhausted(bundle):
+        raise exc
+
+    monkeypatch.setattr(hio, "parse_bundle", exhausted)
+    code = main(["generate-paths", *bundle_args(workdir), "--examples", str(workdir / "examples.tsv")])
+    assert code == 4
+    assert capsys.readouterr().err == line
 
 
 def test_missing_file_is_precondition(tmp_path):

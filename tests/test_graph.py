@@ -275,14 +275,15 @@ class TestBuildGraph:
 
     def test_build_holds_one_copy_of_the_endpoints(self):
         # 60k random triples over 2,000 entities and 30 relations, so the 30
-        # forward CSRs are built last and set the peak: with the int32 entity
-        # code of every field beside the graph, the sources and targets among
-        # them recoded and gathered into relation order in place, the peak
-        # above what the graph keeps traces about 0.52 MB; with the
-        # relation-ordered endpoints gathered into new arrays beside the
-        # codes, about 1.0 MB. Rows given as tuples are coded into a table
-        # that is dropped but for its entity codes, and tables coded before
-        # the build are read in place, so both keep the bound
+        # forward CSRs are built last and set the peak: with the sources and
+        # targets gathered into relation order as new int32 arrays, a column
+        # at a time, the peak above what the graph keeps traces about 0.53 MB
+        # for tables coded before the build, which are read in place, and
+        # about 0.61 MB for rows given as tuples, whose table is dropped
+        # before the gather so each of its columns is freed once gathered.
+        # Gathering each relation's ends through slices of the order instead
+        # keeps the order and a table made here from rows, but for its
+        # labels, alive while the CSRs are built: about 0.78 MB for rows
         rng = random.Random(0)
         names = [f"e{i:05d}" for i in range(2_000)]
         relations = [f"r{i:02d}" for i in range(30)]

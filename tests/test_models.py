@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hinwalk import (
     BudgetExceededError,
     LogisticModel,
     ParseError,
+    ScoreMatrix,
     UnknownEntityError,
     auc,
     build_features,
@@ -60,6 +62,21 @@ class TestBuildFeatures:
         graph, _ = g1
         matrix = build_features(graph, [("p1", "p2")], [])
         assert matrix.values.shape == (1, 0)
+
+    def test_no_pairs(self, g1):
+        graph, _ = g1
+        matrix = build_features(graph, [], [parse_metapath(P_FOUNDERS)])
+        assert matrix.pairs == () and matrix.values.shape == (0, 1)
+
+    def test_deadline_already_past(self, g1):
+        graph, _ = g1
+        with pytest.raises(BudgetExceededError, match="feature construction deadline exceeded"):
+            build_features(graph, [("p1", "p2")], [parse_metapath(P_FOUNDERS)], deadline=time.monotonic() - 1)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,)])
+    def test_values_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"does not match 1 pairs x 1 meta-paths"):
+            ScoreMatrix((("p1", "p2"),), (parse_metapath(P_FOUNDERS),), np.zeros(shape))
 
     def test_source_without_start_type_rejected(self, g1):
         graph, _ = g1
@@ -150,9 +167,34 @@ class TestTrainLogistic:
         assert model.weights[1] == 0.0
         assert np.max(np.abs(gradient(model, X, y))) < 1e-8
 
+    def test_step_halves_until_the_objective_rises(self, monkeypatch):
+        # features scaled by 100 make the full Newton step overshoot: the
+        # objective falls at some candidate, which is rejected and halved
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0, 1, (20, 2)) * 100
+        y = (rng.uniform(0, 1, 20) < 0.5).astype(int)
+        values = []
+        objective = models._objective
+
+        def recorded(*args):
+            value = objective(*args)
+            values.append(value[0])
+            return value
+
+        monkeypatch.setattr(models, "_objective", recorded)
+        model = train_logistic(X, y, l2_strength=0.01)
+        # accepted steps never lower the objective, so a lower one was rejected
+        assert any(v < max(values[:k]) for k, v in enumerate(values) if k)
+        assert np.max(np.abs(gradient(model, X, y))) < models.GRAD_TOL
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             train_logistic(np.ones((3, 1)), [1, 1, 1])
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_label_count_mismatch_rejected(self, n_labels):
+        with pytest.raises(ValueError, match=rf"features \(3, 1\) do not match {n_labels} labels"):
+            train_logistic(np.ones((3, 1)), [1, 0, 1, 0][:n_labels])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -336,6 +378,12 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_model(bad)
         assert (err.value.lineno, err.value.reason) == (len(lines) + 2, reason)
+
+    def test_missing_field_rejected(self, tmp_path):
+        bad = tmp_path / "m.tsv"
+        bad.write_text("hinwalk-model\t1\nl2\t0.01\nfit_bias\t1\npath\t1\tA\n")
+        with pytest.raises(ValueError, match="missing model field 'bias'"):
+            load_model(bad)
 
     def test_reject_foreign_file(self, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -79,6 +79,18 @@ class TestGenerateSynthetic:
                 planted=parse_metapath("A -r_ab-> B"),
             )
 
+    def test_inverted_planted_relation_rejected(self):
+        with pytest.raises(ValueError, match="planted path must use forward relations only"):
+            SyntheticSpec(
+                entity_counts={"A": 10, "B": 10},
+                planted=parse_metapath("A -r_ab~-> B"),
+            )
+
+    @pytest.mark.parametrize("field", ["out_degree", "n_pairs"])
+    def test_out_degree_and_pairs_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match="out_degree and n_pairs must be >= 1"):
+            SyntheticSpec(**{**SMALL, field: 0})
+
     def test_reserved_relation_name_rejected(self):
         with pytest.raises(ValueError, match="collides"):
             SyntheticSpec(
@@ -120,6 +132,21 @@ class TestGenerateSynthetic:
             n_pairs=1,
         )
         with pytest.raises(ValueError, match="only 0 unconnected pairs exist, need 2"):
+            generate_synthetic(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_planted_pairs_rejected(self, tmp_path):
+        # out-degree 1 from 2 sources connects 2 pairs: 2 positives need 4
+        spec = SyntheticSpec(
+            entity_counts={"A": 2, "B": 2},
+            planted=parse_metapath("A -r-> B"),
+            noise_rate=0.0,
+            distractor_relations=0,
+            noise_relation_count=0,
+            out_degree=1,
+            n_pairs=2,
+        )
+        with pytest.raises(ValueError, match="only 2 planted pairs exist, need 4"):
             generate_synthetic(spec, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

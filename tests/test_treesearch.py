@@ -175,6 +175,14 @@ class TestExpand:
         with pytest.raises(ValueError, match="expanded"):
             tree.expand_node(tree.root)
 
+    def test_node_at_max_depth_rejected(self, g1):
+        graph, _ = g1
+        tree = SearchTree(graph, ExamplePairSet([("p1", "p2")]), SearchConfig(max_depth=1))
+        (child,) = tree.expand_node(tree.root)
+        with pytest.raises(ValueError, match="node at max depth 1 cannot be expanded"):
+            tree.expand_node(child)
+        assert not child.expanded
+
     @pytest.mark.parametrize("seed", range(20))
     def test_children_are_the_nonempty_products(self, seed):
         graph, _ = random_typed_graph(seed)

@@ -171,6 +171,11 @@ class TestEnumerateInstances:
         path = parse_metapath("Person -found~-> Organization")
         assert enumerate_path_instances(graph, "p1", path) == []
 
+    def test_source_without_start_type_rejected(self, g1):
+        graph, _ = g1
+        with pytest.raises(ValueError, match="source 'p1' does not carry start type 'Organization'"):
+            enumerate_path_instances(graph, "p1", parse_metapath("Organization -found~-> Person"))
+
     def test_cap_reported(self, g2, p_star):
         graph, _ = g2
         with pytest.raises(BudgetExceededError, match="2"):
